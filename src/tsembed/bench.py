@@ -143,8 +143,10 @@ def _parse_embedding(obj: dict, index: int) -> EmbeddingCfg:
     method = obj["method"]
     if method not in EMBEDDING_METHODS:
         raise ConfigError(f"{where}: unknown embedding method {method!r}")
-    return EmbeddingCfg(method=method, name=obj.get("name", method),
-                        params=dict(obj.get("params", {})))
+    cfg = EmbeddingCfg(method=method, name=obj.get("name", method),
+                       params=dict(obj.get("params", {})))
+    make_embedder(cfg)  # rejects unknown params before any work starts
+    return cfg
 
 
 def _parse_classifier(obj: dict, index: int) -> ClassifierCfg:

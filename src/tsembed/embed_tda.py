@@ -11,14 +11,19 @@ pair and all coordinates are finite.
 
 On top of diagrams: persistence entropy, Betti curves (half-open [b, d)
 convention), exact p-norms of persistence landscapes via piecewise
-integration, and Wasserstein / bottleneck distances through an augmented
-assignment problem that lets unmatched points pay their distance to the
-diagonal (capped at 64 total points).
+integration (Bubenik & Dlotko, J. Symb. Comput. 2017), evaluated on all
+breakpoints at once, and Wasserstein / bottleneck distances through an
+augmented assignment problem that lets unmatched points pay their distance
+to the diagonal. The general distances are capped at 64 total points
+(CapacityError beyond); they load scipy's matcher on first use.
 
 tda_embed concatenates, per channel: 4 diagram scalars, a Betti curve on
 grid_size points spanning the channel's range, 5 more scalars (two landscape
 norms, W1/W2/bottleneck against the empty diagram), and the 7 horizontal
-visibility graph features, giving C * (9 + grid_size + 7) dimensions.
+visibility graph features, giving C * (9 + grid_size + 7) dimensions. The
+distances to the empty diagram use their closed forms (the sum, 2-norm and
+max of the half-persistences), which equal the matcher's results bit for
+bit and have no size cap, so tda_embed works at any window length.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .embed_graph import graph_features, hvg_build
 from .errors import CapacityError, ConfigError, DataError, ShapeError
@@ -132,56 +136,74 @@ def betti_curve(dgm: PersistenceDiagram, grid: np.ndarray) -> np.ndarray:
     return alive.sum(axis=1).astype(float)
 
 
-def _tent_values(pairs: np.ndarray, x: float) -> np.ndarray:
-    return np.maximum(0.0, np.minimum(x - pairs[:, 0], pairs[:, 1] - x))
+# elements per block of tent values, so evaluating long windows keeps memory flat
+_CHUNK_ELEMENTS = 1 << 20
 
 
-def landscape_norm(dgm: PersistenceDiagram, k: int, p: int) -> float:
-    """Exact L^p norm of the k-th persistence landscape (k >= 1, p in {1, 2}).
+def _undominated(pairs: np.ndarray) -> np.ndarray:
+    """Tents not contained in another: b and d both strictly increasing.
+
+    A tent (b_j, d_j) with b_i <= b_j and d_j <= d_i lies under tent i at
+    every x, also after rounding, since x - b and d - x round monotonically;
+    dropping it leaves the pointwise maximum unchanged.
+    """
+    order = np.lexsort((-pairs[:, 1], pairs[:, 0]))
+    d = pairs[order, 1]
+    prev_max = np.maximum.accumulate(np.concatenate([[-np.inf], d[:-1]]))
+    return pairs[order[d > prev_max]]
+
+
+def _kth_landscape(pairs: np.ndarray, k: int, xs: np.ndarray) -> np.ndarray:
+    """lambda_k at every x in xs: the k-th largest max(0, min(x - b, d - x))."""
+    if k == 1:
+        pairs = _undominated(pairs)
+    out = np.empty(xs.shape[0])
+    step = max(1, _CHUNK_ELEMENTS // pairs.shape[0])
+    for start in range(0, xs.shape[0], step):
+        x = xs[start:start + step, None]
+        vals = np.maximum(0.0, np.minimum(x - pairs[None, :, 0], pairs[None, :, 1] - x))
+        if k == 1:
+            out[start:start + step] = vals.max(axis=1)
+        else:
+            out[start:start + step] = np.partition(vals, -k, axis=1)[:, -k]
+    return out
+
+
+def landscape_norms(dgm: PersistenceDiagram, k: int) -> tuple[float, float]:
+    """Exact (L^1, L^2) norms of the k-th persistence landscape (k >= 1).
 
     The landscape is piecewise linear with kinks only at tent endpoints,
     tent apexes, and crossings of one tent's rising edge with another's
     falling edge; integrating with Simpson's rule between consecutive
     candidate points is exact for p = 1 (linear) and p = 2 (quadratic).
+    The Simpson terms are summed left to right.
     """
     if k < 1:
         raise ConfigError(f"landscape level k must be >= 1, got {k}")
-    if p not in (1, 2):
-        raise ConfigError(f"landscape norm supports p in {{1, 2}}, got {p}")
     mask = dgm.persistences() > 0
     if int(mask.sum()) < k:
         # fewer than k tents means the k-th landscape is identically zero
-        return 0.0
-    pairs = np.stack([dgm.births[mask], dgm.deaths[mask]], axis=1)
+        return 0.0, 0.0
+    b, d = dgm.births[mask], dgm.deaths[mask]
+    candidates = np.unique(np.concatenate([b, d, ((b[:, None] + d[None, :]) / 2.0).ravel()]))
+    xs = candidates[(b.min() <= candidates) & (candidates <= d.max())]
+    mids = (xs[:-1] + xs[1:]) / 2.0
+    lam = _kth_landscape(np.stack([b, d], axis=1), k, np.concatenate([xs, mids]))
+    lam_xs, fm = lam[:xs.shape[0]], lam[xs.shape[0]:]
+    f0, f1 = lam_xs[:-1], lam_xs[1:]
+    h = xs[1:] - xs[:-1]  # > 0: distinct floats never subtract to zero
+    # cumsum adds strictly left to right; the leading 0.0 is the running
+    # total's start value, so the sums equal those of a scalar loop bit for bit
+    terms1 = np.concatenate([[0.0], h * (f0 + 4.0 * fm + f1) / 6.0])
+    terms2 = np.concatenate([[0.0], h * (f0 * f0 + 4.0 * fm * fm + f1 * f1) / 6.0])
+    return float(np.cumsum(terms1)[-1]), float(np.sqrt(np.cumsum(terms2)[-1]))
 
-    candidates = set()
-    for b, d in pairs:
-        candidates.update((b, (b + d) / 2.0, d))
-    for i in range(pairs.shape[0]):
-        for j in range(pairs.shape[0]):
-            if i != j:
-                candidates.add((pairs[i, 0] + pairs[j, 1]) / 2.0)
-    lo = pairs[:, 0].min()
-    hi = pairs[:, 1].max()
-    xs = np.array(sorted(c for c in candidates if lo <= c <= hi))
 
-    def lam(x: float) -> float:
-        vals = _tent_values(pairs, x)
-        if vals.shape[0] < k:
-            return 0.0
-        return float(np.partition(vals, -k)[-k])
-
-    total = 0.0
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        h = x1 - x0
-        if h == 0.0:
-            continue
-        f0, fm, f1 = lam(x0), lam((x0 + x1) / 2.0), lam(x1)
-        if p == 1:
-            total += h * (f0 + 4.0 * fm + f1) / 6.0
-        else:
-            total += h * (f0 * f0 + 4.0 * fm * fm + f1 * f1) / 6.0
-    return total if p == 1 else float(np.sqrt(total))
+def landscape_norm(dgm: PersistenceDiagram, k: int, p: int) -> float:
+    """Exact L^p norm of the k-th persistence landscape (k >= 1, p in {1, 2})."""
+    if p not in (1, 2):
+        raise ConfigError(f"landscape norm supports p in {{1, 2}}, got {p}")
+    return landscape_norms(dgm, k)[p - 1]
 
 
 def _as_points(dgm: PersistenceDiagram) -> np.ndarray:
@@ -227,6 +249,8 @@ def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p: int = 1) -> f
     """p-Wasserstein distance with L-infinity ground metric."""
     if p < 1:
         raise ConfigError(f"Wasserstein order must be >= 1, got {p}")
+    from scipy.optimize import linear_sum_assignment
+
     _check_capacity(d1, d2)
     a, b = _as_points(d1), _as_points(d2)
     if a.shape[0] + b.shape[0] == 0:
@@ -238,6 +262,8 @@ def wasserstein(d1: PersistenceDiagram, d2: PersistenceDiagram, p: int = 1) -> f
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     """Bottleneck distance via binary search over candidate matching costs."""
+    from scipy.optimize import linear_sum_assignment
+
     _check_capacity(d1, d2)
     a, b = _as_points(d1), _as_points(d2)
     if a.shape[0] + b.shape[0] == 0:
@@ -286,13 +312,15 @@ def tda_embed(window: Window, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
         ])
         grid = np.linspace(float(x.min()), float(x.max()), grid_size)
         betti = betti_curve(dgm, grid)
-        empty = PersistenceDiagram.empty()
+        l1, l2 = landscape_norms(dgm, 1)
+        # against the empty diagram every point is matched to the diagonal
+        half = pers / 2.0
         scalars_back = np.array([
-            landscape_norm(dgm, 1, 1),
-            landscape_norm(dgm, 1, 2),
-            wasserstein(dgm, empty, 1),
-            wasserstein(dgm, empty, 2),
-            bottleneck(dgm, empty),
+            l1,
+            l2,
+            float(half.sum()),
+            float(np.sum(half ** 2) ** 0.5),
+            float(half.max()),
         ])
         hvg = graph_features(hvg_build(x))
         parts.append(np.concatenate([scalars_front, betti, scalars_back, hvg]))

@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsembed
 from tsembed.bench import (CellResult, DatasetCfg, EmbeddingCfg, _cv_accuracy,
                            _expand_grid, _load_splits, _run_cell, average_rank,
                            dump_embeddings, emit_reports, load_config,
@@ -240,6 +244,22 @@ def test_make_embedder_rejects_unknown_params():
         make_embedder(EmbeddingCfg(method="fft", name="fft", params={"zap": 1}))
     with pytest.raises(ConfigError, match="unknown param"):
         make_embedder(EmbeddingCfg(method="pca", name="pca", params={"dim": 2}))
+
+
+def test_parse_config_rejects_unknown_embedding_params(tones_csv, tmp_path):
+    obj = base_config(tones_csv, tmp_path / "out")
+    obj["embeddings"] = [{"method": "fft"}, {"method": "pca", "params": {"dd": 3}}]
+    with pytest.raises(ConfigError, match="unknown param"):
+        parse_config(obj)
+    assert not (tmp_path / "out").exists()
+
+
+def test_import_bench_leaves_matcher_unloaded():
+    src = str(Path(tsembed.__file__).resolve().parents[1])
+    code = "import sys, tsembed.bench; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ grid mechanics

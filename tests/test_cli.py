@@ -145,8 +145,13 @@ def test_run_twice_identical_outputs(tmp_path):
 def test_module_entry_point():
     import subprocess
     import sys
+    from pathlib import Path
+
+    import tsembed
+    # run from the package's parent so a checkout needs no PYTHONPATH
+    src = Path(tsembed.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "tsembed", "--help"],
-                          capture_output=True, text=True)
+                          cwd=src, capture_output=True, text=True)
     assert proc.returncode == 0
     for word in ("run", "embed", "rank", "synth"):
         assert word in proc.stdout

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsembed.embed_graph import graph_features, hvg_build
 from tsembed.embed_tda import (DEFAULT_GRID_SIZE, PersistenceDiagram,
                                betti_curve, bottleneck, landscape_norm,
-                               persistence_entropy, sublevel_persistence,
-                               tda_dim, tda_embed, wasserstein, write_diagram)
+                               landscape_norms, persistence_entropy,
+                               sublevel_persistence, tda_dim, tda_embed,
+                               wasserstein, write_diagram)
 from tsembed.errors import CapacityError, ConfigError, DataError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -205,6 +208,69 @@ def test_landscape_zero_persistence_ignored():
     assert landscape_norm(dgm, 2, 1) == 0.0
 
 
+def landscape_norm_reference(dgm, k, p):
+    """Scalar oracle: Simpson's rule between sorted candidates, one lambda_k
+    evaluation per point, accumulated in a Python loop."""
+    mask = dgm.persistences() > 0
+    if int(mask.sum()) < k:
+        return 0.0
+    pairs = np.stack([dgm.births[mask], dgm.deaths[mask]], axis=1)
+
+    candidates = set()
+    for b, d in pairs:
+        candidates.update((b, (b + d) / 2.0, d))
+    for i in range(pairs.shape[0]):
+        for j in range(pairs.shape[0]):
+            if i != j:
+                candidates.add((pairs[i, 0] + pairs[j, 1]) / 2.0)
+    lo = pairs[:, 0].min()
+    hi = pairs[:, 1].max()
+    xs = np.array(sorted(c for c in candidates if lo <= c <= hi))
+
+    def lam(x):
+        vals = np.maximum(0.0, np.minimum(x - pairs[:, 0], pairs[:, 1] - x))
+        if vals.shape[0] < k:
+            return 0.0
+        return float(np.partition(vals, -k)[-k])
+
+    total = 0.0
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        h = x1 - x0
+        if h == 0.0:
+            continue
+        f0, fm, f1 = lam(x0), lam((x0 + x1) / 2.0), lam(x1)
+        if p == 1:
+            total += h * (f0 + 4.0 * fm + f1) / 6.0
+        else:
+            total += h * (f0 * f0 + 4.0 * fm * fm + f1 * f1) / 6.0
+    return total if p == 1 else float(np.sqrt(total))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau=st.sampled_from([4, 16, 64, 256]), seed=st.integers(0, 2**32 - 1),
+       decimals=st.sampled_from([None, 0, 1]), k=st.integers(1, 3),
+       p=st.sampled_from([1, 2]))
+def test_landscape_matches_reference_on_signals(tau, seed, decimals, k, p):
+    # rounding the signal makes tied births, deaths and candidate points
+    x = np.random.default_rng(seed).normal(size=tau)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    dgm = sublevel_persistence(x)
+    assert landscape_norm(dgm, k, p) == landscape_norm_reference(dgm, k, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 6)),
+                min_size=1, max_size=12),
+       st.integers(1, 3))
+def test_landscape_norms_match_reference_on_tied_diagrams(pairs, k):
+    # integer grids give nested, identical and edge-sharing tents
+    dgm = diagram([(b / 2.0, (b + w) / 2.0) for b, w in pairs])
+    l1, l2 = landscape_norms(dgm, k)
+    assert l1 == landscape_norm_reference(dgm, k, 1)
+    assert l2 == landscape_norm_reference(dgm, k, 2)
+
+
 def test_landscape_parameter_validation():
     dgm = diagram([(0.0, 2.0)])
     with pytest.raises(ConfigError):
@@ -348,12 +414,35 @@ def test_tda_embed_slot_layout(make_window):
     grid = np.linspace(x.min(), x.max(), DEFAULT_GRID_SIZE)
     np.testing.assert_allclose(v[4:12], betti_curve(dgm, grid))
     empty = PersistenceDiagram.empty()
-    assert v[12] == pytest.approx(landscape_norm(dgm, 1, 1))
-    assert v[13] == pytest.approx(landscape_norm(dgm, 1, 2))
-    assert v[14] == pytest.approx(wasserstein(dgm, empty, 1))
-    assert v[15] == pytest.approx(wasserstein(dgm, empty, 2))
-    assert v[16] == pytest.approx(bottleneck(dgm, empty))
+    assert v[12] == landscape_norm_reference(dgm, 1, 1)
+    assert v[13] == landscape_norm_reference(dgm, 1, 2)
+    assert v[14] == wasserstein(dgm, empty, 1)
+    assert v[15] == wasserstein(dgm, empty, 2)
+    assert v[16] == bottleneck(dgm, empty)
     np.testing.assert_allclose(v[17:24], graph_features(hvg_build(x)))
+
+
+def test_tda_embed_distances_equal_matcher(make_window):
+    empty = PersistenceDiagram.empty()
+    for x in random_signals(40, seed=205):
+        v = tda_embed(make_window(x))
+        dgm = sublevel_persistence(x)
+        assert v[14] == wasserstein(dgm, empty, 1)
+        assert v[15] == wasserstein(dgm, empty, 2)
+        assert v[16] == bottleneck(dgm, empty)
+
+
+def test_tda_embed_long_noisy_window(make_window):
+    # hundreds of diagram points, far past the matcher's cap of 64
+    x = np.random.default_rng(5).normal(size=1024)
+    v = tda_embed(make_window(x))
+    assert v.shape == (tda_dim(1),) and np.all(np.isfinite(v))
+    dgm = sublevel_persistence(x)
+    assert dgm.n_pairs > 64
+    half = dgm.persistences() / 2.0
+    assert v[14] == float(half.sum())
+    assert v[15] == float(np.sum(half ** 2) ** 0.5)
+    assert v[16] == float(half.max())
 
 
 def test_tda_embed_channel_major(make_window):
