@@ -28,6 +28,7 @@ records the parsed config and the effective per-method parameters.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -215,6 +216,31 @@ def _check_params(params: dict, allowed: set[str], method: str) -> None:
         raise ConfigError(f"embedding {method!r}: unknown param(s) {sorted(unknown)}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or (isinstance(value, (float, np.floating))
+                              and math.isfinite(value))
+
+
+def _int_param(cfg: EmbeddingCfg, key: str, default: int) -> int:
+    value = cfg.params.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"embedding {cfg.method!r}: param {key!r} must be an "
+                          f"integer, got {value!r}")
+    return int(value)
+
+
+def _float_param(cfg: EmbeddingCfg, key: str, default: float) -> float:
+    value = cfg.params.get(key, default)
+    if not _is_real(value):
+        raise ConfigError(f"embedding {cfg.method!r}: param {key!r} must be a "
+                          f"finite number, got {value!r}")
+    return float(value)
+
+
 def _flatten(windows: list[Window]) -> np.ndarray:
     return np.stack([w.values.T.reshape(-1) for w in windows])
 
@@ -246,7 +272,7 @@ class _GraphEmbedder(_StatelessEmbedder):
 class _TdaEmbedder(_StatelessEmbedder):
     def __init__(self, cfg: EmbeddingCfg):
         _check_params(cfg.params, {"grid_size"}, "tda")
-        grid_size = int(cfg.params.get("grid_size", DEFAULT_GRID_SIZE))
+        grid_size = _int_param(cfg, "grid_size", DEFAULT_GRID_SIZE)
         super().__init__(cfg, lambda w: tda_embed(w, grid_size))
         self._grid_size = grid_size
 
@@ -258,15 +284,23 @@ class _WaveletEmbedder(_Embedder):
     def __init__(self, cfg: EmbeddingCfg):
         super().__init__(cfg)
         _check_params(cfg.params, {"scales", "omega0"}, "wavelet")
+        scales = cfg.params.get("scales")
+        if scales is not None and not (
+                isinstance(scales, (list, tuple, np.ndarray))
+                and all(map(_is_real, scales))):
+            raise ConfigError(f"embedding 'wavelet': param 'scales' must be a list "
+                              f"of finite numbers, got {scales!r}")
+        self._scales = None if scales is None else tuple(float(a) for a in scales)
+        self._omega0 = _float_param(cfg, "omega0", 6.0)
         self._cwt_cfg: CwtConfig | None = None
 
     def fit(self, windows: list[Window], seed: int) -> dict:
         tau = windows[0].values.shape[0]
-        params = self.cfg.params
-        scales = tuple(float(a) for a in params.get("scales", default_scales(tau)))
-        omega0 = float(params.get("omega0", 6.0))
-        self._cwt_cfg = CwtConfig(scales, omega0)
-        return {"scales": list(scales), "omega0": omega0}
+        scales = self._scales
+        if scales is None:
+            scales = tuple(float(a) for a in default_scales(tau))
+        self._cwt_cfg = CwtConfig(scales, self._omega0)
+        return {"scales": list(scales), "omega0": self._omega0}
 
     def transform(self, windows: list[Window]) -> np.ndarray:
         return np.stack([wavelet_embed(w, self._cwt_cfg) for w in windows])
@@ -276,12 +310,12 @@ class _PcaEmbedder(_Embedder):
     def __init__(self, cfg: EmbeddingCfg):
         super().__init__(cfg)
         _check_params(cfg.params, {"d"}, "pca")
+        self._want_d = _int_param(cfg, "d", DEFAULT_EMBED_DIM)
         self._model = None
 
     def fit(self, windows: list[Window], seed: int) -> dict:
         X = _flatten(windows)
-        want = int(self.cfg.params.get("d", DEFAULT_EMBED_DIM))
-        d = min(want, X.shape[0] - 1, X.shape[1])
+        d = min(self._want_d, X.shape[0] - 1, X.shape[1])
         if d < 1:
             raise ConfigError(f"pca: cannot fit any component on {X.shape[0]} windows")
         self._model = pca_fit(X, d)
@@ -295,19 +329,19 @@ class _LleEmbedder(_Embedder):
     def __init__(self, cfg: EmbeddingCfg):
         super().__init__(cfg)
         _check_params(cfg.params, {"d", "K", "reg"}, "lle")
+        self._want_k = _int_param(cfg, "K", 20)
+        self._want_d = _int_param(cfg, "d", DEFAULT_EMBED_DIM)
+        self._reg = _float_param(cfg, "reg", 1e-3)
         self._model = None
 
     def fit(self, windows: list[Window], seed: int) -> dict:
         X = _flatten(windows)
-        want_k = int(self.cfg.params.get("K", 20))
-        want_d = int(self.cfg.params.get("d", DEFAULT_EMBED_DIM))
-        reg = float(self.cfg.params.get("reg", 1e-3))
-        K = min(want_k, X.shape[0] - 2)
-        d = min(want_d, K)
+        K = min(self._want_k, X.shape[0] - 2)
+        d = min(self._want_d, K)
         if K < 1 or d < 1:
             raise ConfigError(f"lle: {X.shape[0]} windows leave no valid K")
-        self._model = lle_fit(X, K, d, reg)
-        return {"d": d, "K": K, "reg": reg}
+        self._model = lle_fit(X, K, d, self._reg)
+        return {"d": d, "K": K, "reg": self._reg}
 
     def transform(self, windows: list[Window]) -> np.ndarray:
         return lle_transform(self._model, _flatten(windows))
@@ -317,16 +351,16 @@ class _AeEmbedder(_Embedder):
     def __init__(self, cfg: EmbeddingCfg):
         super().__init__(cfg)
         _check_params(cfg.params, {"d", "epochs", "batch"}, "ae")
+        self._want_d = _int_param(cfg, "d", DEFAULT_EMBED_DIM)
+        self._epochs = _int_param(cfg, "epochs", 100)
+        self._batch = _int_param(cfg, "batch", 64)
         self._model = None
 
     def fit(self, windows: list[Window], seed: int) -> dict:
         n_features = windows[0].values.size
-        want = int(self.cfg.params.get("d", DEFAULT_EMBED_DIM))
-        d = min(want, n_features - 1)
-        epochs = int(self.cfg.params.get("epochs", 100))
-        batch = int(self.cfg.params.get("batch", 64))
-        self._model = ae_train(windows, d, epochs, batch, seed)
-        return {"d": d, "epochs": epochs, "batch": batch}
+        d = min(self._want_d, n_features - 1)
+        self._model = ae_train(windows, d, self._epochs, self._batch, seed)
+        return {"d": d, "epochs": self._epochs, "batch": self._batch}
 
     def transform(self, windows: list[Window]) -> np.ndarray:
         return ae_embed(self._model, windows)

@@ -7,6 +7,12 @@ vote ties go to the smallest class id; Gaussian naive Bayes floors variances
 at 1e-9; logistic regression is full-batch gradient descent with a fixed
 deterministic step schedule. The MLP rides on the seeded feedforward engine.
 
+Tree split search costs one stable sort per candidate feature per node; the
+Gini gains of all cuts come from class-count cumsums as array expressions,
+with the same float operations in the same order as a per-cut loop, so splits
+are bit-identical to it. Features are processed in blocks of at most about 1M
+(rows x features x classes) elements, which bounds the memory of a node.
+
 fit(kind, data, params) dispatches on kind in {"knn", "gnb", "logreg",
 "tree", "forest", "mlp"}; unknown kinds and unknown or out-of-range
 parameters raise ConfigError. predict(model, X) accepts any fitted model.
@@ -14,6 +20,7 @@ parameters raise ConfigError. predict(model, X) accepts any fitted model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +37,7 @@ LOGREG_TOL = 1e-6
 LOGREG_LR = 0.5
 TREE_MAX_DEPTH = 12
 TREE_MIN_LEAF = 1
+SPLIT_BLOCK_ELEMENTS = 1 << 20   # cap on n * features * classes per block
 FOREST_TREES = 100
 MLP_HIDDEN = 64
 MLP_EPOCHS = 200
@@ -252,26 +260,44 @@ def best_split(X: np.ndarray, y: np.ndarray, features: np.ndarray,
     parent_counts = np.bincount(y, minlength=n_classes).astype(float)
     parent_gini = _gini_from_counts(parent_counts, n)
     best = (-1, 0.0, -1.0)
-    for f in features:
-        order = np.argsort(X[:, f], kind="stable")
-        vals = X[order, f]
-        labels = y[order]
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), labels] = 1.0
-        left_counts = np.cumsum(onehot, axis=0)
-        cut_ok = vals[:-1] < vals[1:]
-        for i in np.nonzero(cut_ok)[0]:
-            nL = i + 1
-            nR = n - nL
-            if nL < min_leaf or nR < min_leaf:
-                continue
-            cl = left_counts[i]
-            cr = parent_counts - cl
-            gain = parent_gini - (nL / n) * _gini_from_counts(cl, nL) \
-                - (nR / n) * _gini_from_counts(cr, nR)
-            if gain > best[2]:
-                best = (int(f), float((vals[i] + vals[i + 1]) / 2.0), float(gain))
+    # cut i puts sorted rows 0..i on the left
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    size_ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not size_ok.any():
+        return best
+    features = np.asarray(features)
+    classes = np.arange(n_classes)
+    block = max(1, SPLIT_BLOCK_ELEMENTS // (n * n_classes))
+    for lo in range(0, features.shape[0], block):
+        fs = features[lo:lo + block]
+        cols = X[:, fs]
+        order = np.argsort(cols, axis=0, kind="stable")
+        vals = np.take_along_axis(cols, order, axis=0)
+        # (cut, feature, class) with the class axis contiguous, so each
+        # per-cut class sum runs the same reduction as the 1-D np.sum
+        left = np.cumsum(y[order[:-1]][:, :, None] == classes, axis=0, dtype=float)
+        right = parent_counts - left
+        gini_left = 1.0 - _sum_sq_ratio(left, n_left)
+        gini_right = 1.0 - _sum_sq_ratio(right, n_right)
+        gain = parent_gini - (n_left / n)[:, None] * gini_left \
+            - (n_right / n)[:, None] * gini_right
+        valid = (vals[:-1] < vals[1:]) & size_ok[:, None]
+        gain[~valid] = -np.inf
+        cut = np.argmax(gain, axis=0)          # first max: lowest threshold
+        cut_gain = gain[cut, np.arange(fs.shape[0])]
+        j = int(np.argmax(cut_gain))           # first max: lowest feature
+        if cut_gain[j] > best[2]:
+            i = cut[j]
+            best = (int(fs[j]), float((vals[i, j] + vals[i + 1, j]) / 2.0),
+                    float(cut_gain[j]))
     return best
+
+
+def _sum_sq_ratio(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """sum_c (counts / totals)^2 per (cut, feature), reusing counts' buffer."""
+    p = np.divide(counts, totals[:, None, None], out=counts)
+    return np.sum(np.multiply(p, p, out=p), axis=2)
 
 
 def _majority(y: np.ndarray) -> int:
@@ -335,7 +361,8 @@ def fit_forest(data: LabeledMatrix, n_trees: int = FOREST_TREES,
         m_feats = int(np.ceil(np.sqrt(d)))
     elif max_features == "all":
         m_feats = d
-    elif isinstance(max_features, int) and 1 <= max_features <= d:
+    elif (isinstance(max_features, int) and not isinstance(max_features, bool)
+          and 1 <= max_features <= d):
         m_feats = max_features
     else:
         raise ConfigError(f"bad max_features {max_features!r}")
@@ -437,8 +464,31 @@ def fit(kind: str, data: LabeledMatrix, params: dict | None = None):
     for key, value in (params or {}).items():
         if key not in merged:
             raise ConfigError(f"unknown parameter {key!r} for classifier {kind!r}")
+        _check_param_type(kind, key, value, merged[key])
         merged[key] = value
     return _FITTERS[kind](data, **merged)
+
+
+def _check_param_type(kind: str, key: str, value, default) -> None:
+    """A value must have its default's type; an int also serves a float param.
+
+    bool is never taken for a number, a float param must be finite (a NaN or
+    infinite logreg step never shrinks below its floor, so the fit would not
+    end), and max_features (default None) is checked by fit_forest.
+    """
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, want = is_int, "an integer"
+    elif isinstance(default, float):
+        ok = is_int or (isinstance(value, (float, np.floating)) and math.isfinite(value))
+        want = "a finite number"
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"classifier {kind!r}: parameter {key!r} must be {want}, "
+                          f"got {value!r}")
 
 
 _PREDICTORS = {

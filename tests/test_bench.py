@@ -254,6 +254,35 @@ def test_parse_config_rejects_unknown_embedding_params(tones_csv, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method, params", [
+    ("tda", {"grid_size": "abc"}),
+    ("wavelet", {"omega0": "x"}),
+    ("pca", {"d": "x"}),
+    ("lle", {"K": 2.5}),
+    ("ae", {"epochs": "x"}),
+])
+def test_parse_config_rejects_badly_typed_embedding_params(tones_csv, tmp_path,
+                                                           method, params):
+    obj = base_config(tones_csv, tmp_path / "out")
+    obj["embeddings"] = [{"method": "fft"}, {"method": method, "params": params}]
+    with pytest.raises(ConfigError, match="must be"):
+        parse_config(obj)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method, params", [
+    ("tda", {"grid_size": True}),
+    ("wavelet", {"scales": "abc"}),
+    ("wavelet", {"scales": [1.0, float("nan")]}),
+    ("pca", {"d": 4.0}),
+    ("lle", {"reg": "x"}),
+    ("ae", {"batch": None}),
+])
+def test_make_embedder_rejects_badly_typed_params(method, params):
+    with pytest.raises(ConfigError, match="must be"):
+        make_embedder(EmbeddingCfg(method=method, name=method, params=params))
+
+
 def test_import_bench_leaves_matcher_unloaded():
     src = str(Path(tsembed.__file__).resolve().parents[1])
     code = "import sys, tsembed.bench; print('scipy.optimize' in sys.modules)"
@@ -443,6 +472,20 @@ def test_run_grid_unknown_grid_key_is_isolated(tones_csv, tmp_path):
     report = run_grid(parse_config(obj))
     knn_cells = [c for c in report.cells if c.classifier == "knn"]
     assert all(c.status == "error:ConfigError" for c in knn_cells)
+
+
+def test_run_grid_wrongly_typed_grid_value_is_isolated(tones_csv, tmp_path):
+    obj = base_config(tones_csv, tmp_path / "out")
+    obj["classifiers"] = [{"kind": "knn", "grid": {"k": [2.5]}},
+                          {"kind": "tree", "grid": {"max_depth": ["x"]}},
+                          {"kind": "forest", "params": {"max_features": True}},
+                          {"kind": "gnb"}]
+    report = run_grid(parse_config(obj))
+    status = {(c.embedding, c.classifier): c.status for c in report.cells}
+    for emb in ("fft", "pca"):
+        for kind in ("knn", "tree", "forest"):
+            assert status[(emb, kind)] == "error:ConfigError"
+        assert status[(emb, "gnb")] == "ok"
 
 
 def test_run_grid_empty_val_uses_cross_validation(tones_csv, tmp_path):

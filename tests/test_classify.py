@@ -1,6 +1,11 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsembed import classify
 from tsembed.classify import (CLASSIFIER_KINDS, LabeledMatrix, accuracy,
                               best_split, fit, fit_forest, fit_gnb, fit_knn,
                               fit_logreg, fit_mlp, fit_tree, gnb_posteriors,
@@ -216,6 +221,164 @@ def test_tree_param_validation():
         fit_tree(XOR, min_leaf=0)
 
 
+# ------------------------------------------------------------ split search oracle
+
+def _gini_reference(counts, total):
+    if total <= 0:
+        return 0.0
+    p = counts / total
+    return 1.0 - float(np.sum(p * p))
+
+
+def best_split_reference(X, y, features, min_leaf):
+    """The scalar split search: one Gini evaluation per cut, in scan order."""
+    n = y.shape[0]
+    n_classes = int(y.max()) + 1
+    parent_counts = np.bincount(y, minlength=n_classes).astype(float)
+    parent_gini = _gini_reference(parent_counts, n)
+    best = (-1, 0.0, -1.0)
+    for f in features:
+        order = np.argsort(X[:, f], kind="stable")
+        vals = X[order, f]
+        labels = y[order]
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), labels] = 1.0
+        left_counts = np.cumsum(onehot, axis=0)
+        cut_ok = vals[:-1] < vals[1:]
+        for i in np.nonzero(cut_ok)[0]:
+            nL = i + 1
+            nR = n - nL
+            if nL < min_leaf or nR < min_leaf:
+                continue
+            cl = left_counts[i]
+            cr = parent_counts - cl
+            gain = parent_gini - (nL / n) * _gini_reference(cl, nL) \
+                - (nR / n) * _gini_reference(cr, nR)
+            if gain > best[2]:
+                best = (int(f), float((vals[i] + vals[i + 1]) / 2.0), float(gain))
+    return best
+
+
+@contextmanager
+def patched(name, value):
+    saved = getattr(classify, name)
+    setattr(classify, name, value)
+    try:
+        yield
+    finally:
+        setattr(classify, name, saved)
+
+
+@st.composite
+def split_nodes(draw, max_rows=60, max_features=6):
+    """(X, y, features, min_leaf) with tie-heavy columns and 2-12 classes."""
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_features))
+    n_classes = draw(st.integers(2, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    style = draw(st.sampled_from(["continuous", "rounded", "integer"]))
+    if style == "rounded":
+        X = np.round(X, 1)
+    elif style == "integer":
+        X = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(float)
+    for f in range(d):
+        if draw(st.booleans()) and draw(st.booleans()):
+            X[:, f] = X[0, f]                       # constant column
+    y = rng.integers(0, n_classes, size=n)
+    features = draw(st.permutations(range(d)))
+    features = np.array(features[:draw(st.integers(1, d))])
+    min_leaf = draw(st.integers(1, 4))
+    return X, y, features, min_leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_nodes())
+def test_best_split_equals_reference(node):
+    X, y, features, min_leaf = node
+    assert best_split(X, y, features, min_leaf) == \
+        best_split_reference(X, y, features, min_leaf)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_nodes(max_rows=40, max_features=12), st.integers(1, 300))
+def test_best_split_equals_reference_across_blocks(node, block_elements):
+    # a small block cap splits the features over many blocks; the tie
+    # contract must hold across block boundaries too
+    X, y, features, min_leaf = node
+    with patched("SPLIT_BLOCK_ELEMENTS", block_elements):
+        got = best_split(X, y, features, min_leaf)
+    assert got == best_split_reference(X, y, features, min_leaf)
+
+
+def test_best_split_no_valid_cut():
+    X = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    y = np.array([0, 1, 0], dtype=np.int64)
+    assert best_split(X, y, np.array([0, 1]), 1) == (-1, 0.0, -1.0)
+    X = np.array([[0.0], [1.0], [2.0]])
+    assert best_split(X, y, np.array([0]), 2) == (-1, 0.0, -1.0)   # n < 2 * min_leaf
+    assert best_split(X[:1], y[:1], np.array([0]), 1) == (-1, 0.0, -1.0)
+
+
+@st.composite
+def tree_data(draw):
+    X, y, _, min_leaf = draw(split_nodes(max_rows=80, max_features=5))
+    return LabeledMatrix(X, y), min_leaf
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_data(), st.integers(1, 8))
+def test_tree_grown_with_reference_split_is_identical(data_min_leaf, max_depth):
+    data, min_leaf = data_min_leaf
+    tree = fit_tree(data, max_depth=max_depth, min_leaf=min_leaf)
+    with patched("best_split", best_split_reference):
+        reference = fit_tree(data, max_depth=max_depth, min_leaf=min_leaf)
+    assert tree == reference   # dataclass equality compares node for node
+
+
+@settings(max_examples=25, deadline=None)
+@given(tree_data(), st.integers(0, 1000))
+def test_forest_grown_with_reference_split_is_identical(data_min_leaf, seed):
+    data, min_leaf = data_min_leaf
+    params = dict(n_trees=4, max_depth=6, min_leaf=min_leaf, seed=seed)
+    forest = fit_forest(data, **params)
+    with patched("best_split", best_split_reference):
+        reference = fit_forest(data, **params)
+    probe = np.random.default_rng(seed).normal(size=(50, data.X.shape[1]))
+    np.testing.assert_array_equal(predict(forest, probe), predict(reference, probe))
+    np.testing.assert_array_equal(predict(forest, data.X), predict(reference, data.X))
+    assert forest == reference
+
+
+def _internal_nodes(node):
+    if node.feature < 0:
+        return 0
+    return 1 + _internal_nodes(node.left) + _internal_nodes(node.right)
+
+
+@pytest.mark.parametrize("max_depth", [1, 3, 12])
+def test_tree_calls_best_split_through_module_global(max_depth):
+    # per-layer tracing wraps classify.best_split; growing a tree must go
+    # through that name once for every node it tries to split
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return best_split_reference(*args)
+
+    data = blobs([(0, 0), (2, 2), (0, 2)], per_class=15, spread=1.0, seed=82)
+    with patched("best_split", counting):
+        model = fit_tree(data, max_depth=max_depth)
+    # distinct continuous values: every impure node above the depth cap splits
+    assert len(calls) == _internal_nodes(model.root) > 0
+    assert calls[0] == data.X.shape
+    calls.clear()
+    with patched("best_split", counting):
+        forest = fit_forest(data, n_trees=3, max_depth=max_depth, seed=4)
+    assert len(calls) == sum(_internal_nodes(t.root) for t in forest.trees)
+
+
 # ------------------------------------------------------------ forest
 
 def test_forest_single_plain_tree_matches_tree():
@@ -244,7 +407,7 @@ def test_forest_max_features_validation():
     data = blobs([(0, 0), (6, 6)], per_class=5, seed=74)
     fit_forest(data, n_trees=2, max_features=1)
     fit_forest(data, n_trees=2, max_features=2)
-    for bad in (0, 3, "most", 1.5):
+    for bad in (0, 3, "most", 1.5, True):
         with pytest.raises(ConfigError):
             fit_forest(data, n_trees=2, max_features=bad)
     with pytest.raises(ConfigError):
@@ -299,6 +462,33 @@ def test_fit_facade_rejects_unknown():
         fit("svm", data)
     with pytest.raises(ConfigError):
         fit("knn", data, {"neighbors": 3})
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("tree", {"max_depth": "x"}),
+    ("tree", {"min_leaf": 1.0}),
+    ("knn", {"k": 2.5}),
+    ("knn", {"k": True}),
+    ("forest", {"max_features": True}),
+    ("forest", {"bootstrap": "no"}),
+    ("forest", {"n_trees": None}),
+    ("gnb", {"var_floor": "x"}),
+    ("logreg", {"l2": False}),
+    ("logreg", {"lr": float("nan")}),
+    ("logreg", {"tol": float("inf")}),
+    ("gnb", {"var_floor": float("nan")}),
+    ("mlp", {"seed": 1.5}),
+])
+def test_fit_facade_rejects_wrongly_typed_params(kind, params):
+    data = blobs([(0, 0), (6, 6)], per_class=5, seed=83)
+    with pytest.raises(ConfigError):
+        fit(kind, data, params)
+
+
+def test_fit_facade_takes_ints_for_float_params():
+    data = blobs([(0, 0), (6, 6)], per_class=5, seed=84)
+    assert fit("logreg", data, {"lr": 1, "max_iter": 5}).n_iters <= 5
+    assert fit("gnb", data, {"var_floor": 1}).variances.min() >= 1.0
 
 
 def test_predict_rejects_non_models():
