@@ -126,15 +126,21 @@ def _parse_dataset(obj: dict, index: int) -> DatasetCfg:
         raise ConfigError(f"{where}: unknown normalization {obj['normalization']!r}")
     if obj["format"] not in ("long_csv", "wide_csv"):
         raise ConfigError(f"{where}: unknown format {obj['format']!r}")
-    ratios = tuple(obj.get("ratios", DEFAULT_RATIOS))
-    if len(ratios) != 3:
-        raise ConfigError(f"{where}: ratios must have three entries")
+    ratios = obj.get("ratios", DEFAULT_RATIOS)
+    if not isinstance(ratios, (list, tuple)) or len(ratios) != 3:
+        raise ConfigError(f"{where}: ratios must be a list of three entries")
+    if not all(_is_real(r) for r in ratios):
+        raise ConfigError(f"{where}: ratios must be finite numbers, got {ratios!r}")
+    channels = obj.get("channels")
+    if channels is not None:
+        channels = _config_int(channels, f"{where}: channels")
     return DatasetCfg(
-        name=obj["name"], tau=int(obj["tau"]), omega=int(obj["omega"]),
+        name=obj["name"], tau=_config_int(obj["tau"], f"{where}: tau"),
+        omega=_config_int(obj["omega"], f"{where}: omega"),
         normalization=obj["normalization"], format=obj["format"],
         path=obj.get("path"), train_path=obj.get("train_path"),
         val_path=obj.get("val_path"), test_path=obj.get("test_path"),
-        channels=obj.get("channels"), ratios=ratios)
+        channels=channels, ratios=tuple(ratios))
 
 
 def _parse_embedding(obj: dict, index: int) -> EmbeddingCfg:
@@ -180,8 +186,8 @@ def parse_config(obj: dict) -> BenchConfig:
             raise ConfigError(f"duplicate {label} names in config")
     if not datasets or not embeddings or not classifiers:
         raise ConfigError("config needs at least one dataset, embedding, and classifier")
-    return BenchConfig(int(obj.get("seed", 0)), obj["output_dir"],
-                       datasets, embeddings, classifiers)
+    return BenchConfig(_config_int(obj.get("seed", 0), "config: seed"),
+                       obj["output_dir"], datasets, embeddings, classifiers)
 
 
 def load_config(path: str) -> BenchConfig:
@@ -225,12 +231,15 @@ def _is_real(value) -> bool:
                               and math.isfinite(value))
 
 
-def _int_param(cfg: EmbeddingCfg, key: str, default: int) -> int:
-    value = cfg.params.get(key, default)
+def _config_int(value, what: str) -> int:
     if not _is_int(value):
-        raise ConfigError(f"embedding {cfg.method!r}: param {key!r} must be an "
-                          f"integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _int_param(cfg: EmbeddingCfg, key: str, default: int) -> int:
+    return _config_int(cfg.params.get(key, default),
+                       f"embedding {cfg.method!r}: param {key!r}")
 
 
 def _float_param(cfg: EmbeddingCfg, key: str, default: float) -> float:

@@ -191,6 +191,9 @@ def fit_logreg(data: LabeledMatrix, l2: float = LOGREG_L2,
     The step starts at lr and halves whenever a step would increase the loss,
     which keeps the trajectory deterministic without tuning.
     """
+    # a NaN or infinite step never shrinks below the floor of the halving loop
+    if not all(math.isfinite(v) for v in (l2, tol, lr)):
+        raise ConfigError("logreg l2, tol and lr must be finite")
     if l2 < 0 or max_iter < 1 or tol <= 0 or lr <= 0:
         raise ConfigError("logreg params out of range")
     classes = np.unique(data.y)

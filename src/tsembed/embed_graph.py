@@ -12,9 +12,24 @@ strictly below min(x_i, x_j); all HVG edges have weight 1. Adjacent samples
 are always mutually visible, so both graphs contain the path 0-1-...-(n-1)
 and are connected.
 
-Construction runs one pass per left endpoint keeping a running maximum
-(of chord slopes for NVG, of interior heights for HVG), which gives the
-O(tau^2) bound with vectorized inner work.
+A graph is three edge arrays (i, j, w) with i < j, sorted by (i, j).
+
+The NVG is built on blocks of rows i, each row laid out by gap k = j - i so
+that it holds only the columns j > i. In row i, j = i + 1 is always visible
+and a later j is visible exactly when its slope (x_j - x_i) / (j - i) is
+strictly above the running maximum of the slopes before it in the row. That
+is O(n^2) array work; a block holds at most ``_BLOCK_ELEMENTS`` slopes, so it
+needs about 17 bytes per element (slopes, running maximum, visibility mask),
+~1.1 MB, whatever n is. The HVG comes from one O(n) pass over a stack of the
+samples still visible from the right, whose values fall strictly from bottom
+to top; one lexsort then puts its edges in (i, j) order.
+
+The features need no per-node sets: degrees are bincounts of the edge
+arrays, and closed triads are counted on an n x n boolean adjacency, taking
+blocks of edges whose neighbour rows hold at most ``_BLOCK_ELEMENTS`` entries.
+Builders and features repeat the float operations of the loop versions kept
+as oracles in ``tests/test_embed_graph.py``, in the same edge order, so
+their edges and features are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -23,30 +38,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .preprocess import Window
 
+# largest number of array elements a block of NVG rows or of triad counts uses
+_BLOCK_ELEMENTS = 1 << 16
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class VisibilityGraph:
-    """Undirected weighted graph; edges hold (i, j, weight) with i < j."""
+    """Undirected weighted graph as edge arrays: i < j, sorted by (i, j)."""
 
     n_nodes: int
-    edges: tuple[tuple[int, int, float], ...]
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as (i, j, weight) tuples, in array order."""
+        return tuple(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
 
     def degree_array(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def adjacency_sets(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n_nodes)]
-        for i, j, _ in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+        return (np.bincount(self.i, minlength=self.n_nodes)
+                + np.bincount(self.j, minlength=self.n_nodes))
 
 
 def _check_signal(x: np.ndarray) -> np.ndarray:
@@ -54,6 +69,8 @@ def _check_signal(x: np.ndarray) -> np.ndarray:
     if x.ndim != 1 or x.shape[0] < 2:
         raise ShapeError(f"visibility graph needs a 1-D signal of length >= 2, "
                          f"got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("visibility graph needs finite values")
     return x
 
 
@@ -61,38 +78,72 @@ def nvg_build(x: np.ndarray) -> VisibilityGraph:
     """Natural visibility graph with |slope| edge weights."""
     x = _check_signal(x)
     n = x.shape[0]
-    edges = []
-    for i in range(n - 1):
-        # slope from i to every later sample; j is visible iff its slope
-        # strictly exceeds every interior slope, i.e. the running max so far
-        gaps = np.arange(1, n - i, dtype=float)
-        slopes = (x[i + 1:] - x[i]) / gaps
-        edges.append((i, i + 1, abs(slopes[0])))
-        if slopes.shape[0] > 1:
-            running = np.maximum.accumulate(slopes[:-1])
-            visible = np.nonzero(slopes[1:] > running)[0]
-            for m in visible:
-                j = i + 2 + int(m)
-                edges.append((i, j, abs(slopes[m + 1])))
-    return VisibilityGraph(n, tuple(edges))
+    # row i holds x[i + 1 : i + n]; past the end of x it holds -inf, whose
+    # slopes are -inf and never visible
+    ahead = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([x[1:], np.full(n - 2, -np.inf)]), n - 1)
+    gaps = np.arange(1, n, dtype=float)
+    parts_i, parts_j, parts_w = [], [], []
+    start = 0
+    while start < n - 1:
+        width = n - 1 - start
+        stop = min(n - 1, start + max(1, _BLOCK_ELEMENTS // width))
+        slopes = ahead[start:stop, :width] - x[start:stop, None]
+        slopes /= gaps[:width]
+        visible = np.empty(slopes.shape, dtype=bool)
+        visible[:, 0] = True
+        np.greater(slopes[:, 1:], np.maximum.accumulate(slopes[:, :-1], axis=1),
+                   out=visible[:, 1:])
+        # flat indices come out in (row, gap) order, i.e. sorted by (i, j)
+        flat = np.flatnonzero(visible)
+        r, k = np.divmod(flat, width)
+        parts_i.append(start + r)
+        parts_j.append(start + r + k + 1)
+        parts_w.append(np.abs(slopes.ravel()[flat]))
+        start = stop
+    return VisibilityGraph(n, np.concatenate(parts_i), np.concatenate(parts_j),
+                           np.concatenate(parts_w))
 
 
 def hvg_build(x: np.ndarray) -> VisibilityGraph:
     """Horizontal visibility graph; every edge has weight 1."""
     x = _check_signal(x)
-    n = x.shape[0]
-    edges = []
-    for i in range(n - 1):
-        edges.append((i, i + 1, 1.0))
-        if i + 2 < n:
-            # interior running max; j > i+1 is visible iff both endpoints
-            # strictly exceed every sample strictly between them
-            interior_max = np.maximum.accumulate(x[i + 1:n - 1])
-            heights = x[i + 2:]
-            visible = np.nonzero((interior_max < x[i]) & (interior_max < heights))[0]
-            for m in visible:
-                edges.append((i, i + 2 + int(m), 1.0))
-    return VisibilityGraph(n, tuple(edges))
+    values = x.tolist()
+    ends_i: list[int] = []
+    ends_j: list[int] = []
+    stack: list[int] = []
+    for j, v in enumerate(values):
+        # tops lower than x_j see j and are hidden from everything after it
+        while stack and values[stack[-1]] < v:
+            ends_i.append(stack.pop())
+            ends_j.append(j)
+        if stack:
+            top = stack[-1]
+            ends_i.append(top)
+            ends_j.append(j)
+            if values[top] == v:
+                stack.pop()
+        stack.append(j)
+    i = np.array(ends_i, dtype=np.int64)
+    j = np.array(ends_j, dtype=np.int64)
+    order = np.lexsort((j, i))
+    return VisibilityGraph(x.shape[0], i[order], j[order], np.ones(i.shape[0]))
+
+
+def _closed_triads(g: VisibilityGraph) -> int:
+    """Sum over edges (i, j) of the common neighbours of i and j, which
+    counts every triangle once per edge."""
+    n = g.n_nodes
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[g.i, g.j] = True
+    adjacent[g.j, g.i] = True
+    step = max(1, _BLOCK_ELEMENTS // n)
+    closed = 0
+    for start in range(0, g.i.shape[0], step):
+        common = adjacent[g.i[start:start + step]]
+        common &= adjacent[g.j[start:start + step]]
+        closed += int(np.count_nonzero(common))
+    return closed
 
 
 def graph_features(g: VisibilityGraph) -> np.ndarray:
@@ -106,7 +157,7 @@ def graph_features(g: VisibilityGraph) -> np.ndarray:
     both fall back to 0 when their denominator vanishes.
     """
     n = g.n_nodes
-    m = len(g.edges)
+    m = int(g.i.shape[0])
     deg = g.degree_array()
 
     density = 2.0 * m / (n * (n - 1)) if n > 1 else 0.0
@@ -114,21 +165,17 @@ def graph_features(g: VisibilityGraph) -> np.ndarray:
     std_deg = deg.std() if n else 0.0
     max_deg = float(deg.max()) if n else 0.0
 
-    adj = g.adjacency_sets()
-    closed = 0
-    for i, j, _ in g.edges:
-        closed += len(adj[i] & adj[j])  # each triangle counted once per edge
     triads = float(np.sum(deg * (deg - 1) / 2))
-    transitivity = closed / triads if triads > 0 else 0.0
+    transitivity = _closed_triads(g) / triads if triads > 0 else 0.0
 
     if m == 0:
         assortativity = 0.0
         mean_weight = 0.0
     else:
-        ends_a = np.array([deg[i] for i, _, _ in g.edges] +
-                          [deg[j] for _, j, _ in g.edges], dtype=float)
-        ends_b = np.array([deg[j] for _, j, _ in g.edges] +
-                          [deg[i] for i, _, _ in g.edges], dtype=float)
+        deg_i = deg[g.i].astype(float)
+        deg_j = deg[g.j].astype(float)
+        ends_a = np.concatenate([deg_i, deg_j])
+        ends_b = np.concatenate([deg_j, deg_i])
         var_a = np.var(ends_a)
         var_b = np.var(ends_b)
         if var_a == 0.0 or var_b == 0.0:
@@ -136,7 +183,7 @@ def graph_features(g: VisibilityGraph) -> np.ndarray:
         else:
             cov = np.mean((ends_a - ends_a.mean()) * (ends_b - ends_b.mean()))
             assortativity = cov / np.sqrt(var_a * var_b)
-        mean_weight = float(np.mean([w for _, _, w in g.edges]))
+        mean_weight = float(np.mean(g.w))
 
     return np.array([density, mean_deg, std_deg, max_deg,
                      transitivity, assortativity, mean_weight])

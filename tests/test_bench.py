@@ -254,6 +254,56 @@ def test_parse_config_rejects_unknown_embedding_params(tones_csv, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("config", "seed", "abc"),
+    ("config", "seed", 1.9),
+    ("config", "seed", True),
+    ("dataset", "tau", "x"),
+    ("dataset", "tau", 2.7),
+    ("dataset", "tau", False),
+    ("dataset", "omega", True),
+    ("dataset", "omega", "0"),
+    ("dataset", "omega", 1.0),
+    ("dataset", "channels", "x"),
+    ("dataset", "channels", True),
+    ("dataset", "channels", 2.0),
+])
+def test_parse_config_rejects_non_integer_dataset_fields(tones_csv, tmp_path,
+                                                         where, key, value):
+    obj = base_config(tones_csv, tmp_path / "out")
+    (obj if where == "config" else obj["datasets"][0])[key] = value
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        parse_config(obj)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ratios", [
+    "abc",
+    [0.5, 0.5],
+    0.5,
+    [0.5, "a", 0.5],
+    [0.5, None, 0.5],
+    [0.5, float("nan"), 0.5],
+    [float("inf"), 0.0, 0.0],
+    [True, False, False],
+])
+def test_parse_config_rejects_bad_ratios(tones_csv, tmp_path, ratios):
+    obj = base_config(tones_csv, tmp_path / "out")
+    obj["datasets"][0]["ratios"] = ratios
+    with pytest.raises(ConfigError, match="ratios must be"):
+        parse_config(obj)
+
+
+def test_parse_config_keeps_well_typed_dataset_fields(tones_csv, tmp_path):
+    obj = base_config(tones_csv, tmp_path, seed=np.int64(9))
+    obj["datasets"][0].update(tau=np.int32(8), omega=2, channels=1,
+                              ratios=[1, 0, 0])
+    cfg = parse_config(obj)
+    ds = cfg.datasets[0]
+    assert (cfg.seed, ds.tau, ds.omega, ds.channels, ds.ratios) == (9, 8, 2, 1, (1, 0, 0))
+    assert all(type(v) is int for v in (cfg.seed, ds.tau, ds.omega, ds.channels))
+
+
 @pytest.mark.parametrize("method, params", [
     ("tda", {"grid_size": "abc"}),
     ("wavelet", {"omega0": "x"}),

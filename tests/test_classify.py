@@ -163,6 +163,17 @@ def test_logreg_param_validation():
             fit_logreg(data, **bad)
 
 
+
+@pytest.mark.parametrize("key", ["lr", "l2", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_logreg_rejects_non_finite_params(key, value):
+    # called directly, not through fit: a NaN or infinite step used to spin
+    # forever in the step-halving loop
+    data = blobs([(0, 0), (6, 6)], per_class=3, seed=69)
+    with pytest.raises(ConfigError, match="finite"):
+        fit_logreg(data, **{key: value})
+
+
 # ------------------------------------------------------------ tree
 
 def test_tree_learns_xor_exactly():

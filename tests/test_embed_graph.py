@@ -1,11 +1,117 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsembed.embed_graph import (GRAPH_FEATURE_COUNT, graph_embed,
-                                 graph_features, hvg_build, nvg_build,
-                                 write_edgelist)
-from tsembed.errors import ShapeError
+from tsembed import embed_graph
+from tsembed.embed_graph import (GRAPH_FEATURE_COUNT, VisibilityGraph,
+                                 graph_embed, graph_features, hvg_build,
+                                 nvg_build, write_edgelist)
+from tsembed.errors import DataError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
+
+
+# ------------------------------------------------------------ loop oracles
+# The per-left-endpoint loops and per-node sets that the array code in
+# embed_graph must reproduce bit for bit.
+
+def graph_from_edges(n, edges):
+    i = np.array([e[0] for e in edges], dtype=np.int64)
+    j = np.array([e[1] for e in edges], dtype=np.int64)
+    w = np.array([e[2] for e in edges], dtype=float)
+    return VisibilityGraph(n, i, j, w)
+
+
+def adjacency_sets(g):
+    adj = [set() for _ in range(g.n_nodes)]
+    for i, j, _ in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def degree_array_reference(g):
+    deg = np.zeros(g.n_nodes, dtype=np.int64)
+    for i, j, _ in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
+
+
+def nvg_build_reference(x):
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    edges = []
+    for i in range(n - 1):
+        # slope from i to every later sample; j is visible iff its slope
+        # strictly exceeds every interior slope, i.e. the running max so far
+        gaps = np.arange(1, n - i, dtype=float)
+        slopes = (x[i + 1:] - x[i]) / gaps
+        edges.append((i, i + 1, abs(slopes[0])))
+        if slopes.shape[0] > 1:
+            running = np.maximum.accumulate(slopes[:-1])
+            visible = np.nonzero(slopes[1:] > running)[0]
+            for m in visible:
+                j = i + 2 + int(m)
+                edges.append((i, j, abs(slopes[m + 1])))
+    return graph_from_edges(n, edges)
+
+
+def hvg_build_reference(x):
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    edges = []
+    for i in range(n - 1):
+        edges.append((i, i + 1, 1.0))
+        if i + 2 < n:
+            # interior running max; j > i+1 is visible iff both endpoints
+            # strictly exceed every sample strictly between them
+            interior_max = np.maximum.accumulate(x[i + 1:n - 1])
+            heights = x[i + 2:]
+            visible = np.nonzero((interior_max < x[i]) & (interior_max < heights))[0]
+            for m in visible:
+                edges.append((i, i + 2 + int(m), 1.0))
+    return graph_from_edges(n, edges)
+
+
+def graph_features_reference(g):
+    n = g.n_nodes
+    m = len(g.edges)
+    deg = degree_array_reference(g)
+
+    density = 2.0 * m / (n * (n - 1)) if n > 1 else 0.0
+    mean_deg = deg.mean() if n else 0.0
+    std_deg = deg.std() if n else 0.0
+    max_deg = float(deg.max()) if n else 0.0
+
+    adj = adjacency_sets(g)
+    closed = 0
+    for i, j, _ in g.edges:
+        closed += len(adj[i] & adj[j])  # each triangle counted once per edge
+    triads = float(np.sum(deg * (deg - 1) / 2))
+    transitivity = closed / triads if triads > 0 else 0.0
+
+    if m == 0:
+        assortativity = 0.0
+        mean_weight = 0.0
+    else:
+        ends_a = np.array([deg[i] for i, _, _ in g.edges] +
+                          [deg[j] for _, j, _ in g.edges], dtype=float)
+        ends_b = np.array([deg[j] for _, j, _ in g.edges] +
+                          [deg[i] for i, _, _ in g.edges], dtype=float)
+        var_a = np.var(ends_a)
+        var_b = np.var(ends_b)
+        if var_a == 0.0 or var_b == 0.0:
+            assortativity = 0.0
+        else:
+            cov = np.mean((ends_a - ends_a.mean()) * (ends_b - ends_b.mean()))
+            assortativity = cov / np.sqrt(var_a * var_b)
+        mean_weight = float(np.mean([w for _, _, w in g.edges]))
+
+    return np.array([density, mean_deg, std_deg, max_deg,
+                     transitivity, assortativity, mean_weight])
 
 
 def brute_nvg_edges(x):
@@ -124,8 +230,8 @@ def test_degree_array_consistent_with_edges():
             deg[i] += 1
             deg[j] += 1
         np.testing.assert_array_equal(deg, g.degree_array())
+        adj = adjacency_sets(g)
         for i, j, _ in g.edges:
-            adj = g.adjacency_sets()
             assert j in adj[i] and i in adj[j]
 
 
@@ -134,6 +240,112 @@ def test_build_rejects_too_short():
         nvg_build(np.array([1.0]))
     with pytest.raises(ShapeError):
         hvg_build(np.array([]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_non_finite(bad):
+    # visibility is undefined there, and the stack HVG would not match the
+    # loop version on a NaN
+    x = np.array([1.0, bad, 2.0, 0.5, 3.0])
+    for build in (nvg_build, hvg_build):
+        with pytest.raises(DataError, match="finite"):
+            build(x)
+
+
+# ------------------------------------------------------------ array code against the loops
+
+SIGNAL_STYLES = ("gauss", "rounded", "integer", "constant", "increasing",
+                 "decreasing", "concave", "convex", "sine")
+
+
+def styled_signal(style, n, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n, dtype=float)
+    if style == "gauss":
+        return rng.normal(size=n)
+    if style == "rounded":
+        return np.round(rng.normal(size=n), 1)
+    if style == "integer":
+        return rng.integers(0, 4, size=n).astype(float)
+    if style == "constant":
+        return np.full(n, 1.5)
+    if style == "increasing":
+        return 0.3 * t - 2.0
+    if style == "decreasing":
+        return -0.7 * t
+    if style == "concave":
+        return -(t - n / 2.0) ** 2
+    if style == "convex":
+        return (t - n / 3.0) ** 2
+    return np.sin(t / 5.0) + 0.1 * rng.normal(size=n)
+
+
+@st.composite
+def signals(draw, max_n=1024):
+    n = draw(st.one_of(st.integers(2, 40), st.integers(2, max_n)))
+    style = draw(st.sampled_from(SIGNAL_STYLES))
+    if style == "convex":
+        n = min(n, 96)   # a complete graph; the set-based oracle is O(n^3)
+    return styled_signal(style, n, draw(st.integers(0, 2**32 - 1)))
+
+
+@contextmanager
+def block_elements(value):
+    saved = embed_graph._BLOCK_ELEMENTS
+    embed_graph._BLOCK_ELEMENTS = value
+    try:
+        yield
+    finally:
+        embed_graph._BLOCK_ELEMENTS = saved
+
+
+def assert_same_as_reference(build, reference, x):
+    got, ref = build(x), reference(x)
+    assert got.n_nodes == ref.n_nodes
+    for name in ("i", "j", "w"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert graph_features(got).tobytes() == graph_features_reference(ref).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(signals())
+def test_nvg_equals_reference(x):
+    assert_same_as_reference(nvg_build, nvg_build_reference, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signals())
+def test_hvg_equals_reference(x):
+    assert_same_as_reference(hvg_build, hvg_build_reference, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(signals(max_n=200), st.integers(1, 300))
+def test_builders_equal_reference_across_blocks(x, cap):
+    # a small cap spreads the NVG rows and the triad counts over many blocks
+    with block_elements(cap):
+        assert_same_as_reference(nvg_build, nvg_build_reference, x)
+        assert_same_as_reference(hvg_build, hvg_build_reference, x)
+
+
+# a convex signal gives a complete graph, too slow for the oracle at n = 1024
+@pytest.mark.parametrize("style, n", [
+    (style, n) for style in SIGNAL_STYLES for n in (2, 3, 64, 257, 1024)
+    if style != "convex" or n <= 257])
+def test_builders_equal_reference_at_window_lengths(style, n):
+    x = styled_signal(style, n, seed=n)
+    assert_same_as_reference(nvg_build, nvg_build_reference, x)
+    assert_same_as_reference(hvg_build, hvg_build_reference, x)
+
+
+def test_edges_view_is_tuples_in_array_order():
+    x = np.array([3.0, 1.0, 2.0, 0.0])
+    g = nvg_build(x)
+    assert g.edges == ((0, 1, 2.0), (0, 2, 0.5), (1, 2, 1.0), (2, 3, 2.0))
+    assert [tuple(map(type, e)) for e in g.edges] == [(int, int, float)] * 4
+    assert g.edges == nvg_build_reference(x).edges
 
 
 # ------------------------------------------------------------ features
@@ -162,7 +374,7 @@ def test_triangle_features():
 def test_transitivity_matches_triangle_count():
     for x in random_signals(15, seed=107):
         g = nvg_build(x)
-        adj = g.adjacency_sets()
+        adj = adjacency_sets(g)
         tri = 0
         for i in range(g.n_nodes):
             for j in adj[i]:
@@ -224,8 +436,8 @@ def test_graph_embed_channel_major(make_window):
     a, b = rng.normal(size=20), rng.normal(size=20)
     w = make_window(np.stack([a, b], axis=1))
     v = graph_embed(w)
-    np.testing.assert_allclose(v[:7], graph_features(nvg_build(a)))
-    np.testing.assert_allclose(v[7:], graph_features(nvg_build(b)))
+    assert v[:7].tobytes() == graph_features(nvg_build(a)).tobytes()
+    assert v[7:].tobytes() == graph_features(nvg_build(b)).tobytes()
 
 
 def test_write_edgelist(tmp_path, make_window):
