@@ -13,6 +13,11 @@ with the same float operations in the same order as a per-cut loop, so splits
 are bit-identical to it. Features are processed in blocks of at most about 1M
 (rows x features x classes) elements, which bounds the memory of a node.
 
+KNN prediction takes its neighbours from numcore.nearest_neighbors: a BLAS
+estimate of all squared distances per block of queries, a rigorous error
+margin around the k-th smallest, and exact re-ranking of the candidates, which
+reproduces the per-query loop (distance, then training index) bit for bit.
+
 fit(kind, data, params) dispatches on kind in {"knn", "gnb", "logreg",
 "tree", "forest", "mlp"}; unknown kinds and unknown or out-of-range
 parameters raise ConfigError. predict(model, X) accepts any fitted model.
@@ -28,6 +33,7 @@ import numpy as np
 from .embed_neural import (NetworkSpec, AdamState, adam_step, init_network,
                            net_backward, net_forward, softmax)
 from .errors import ConfigError, ShapeError
+from .numcore import nearest_neighbors
 from .rng import Xoshiro256StarStar, derive_seed
 
 GNB_VAR_FLOOR = 1e-9
@@ -136,15 +142,12 @@ def fit_knn(data: LabeledMatrix, k: int = 5) -> KnnModel:
 
 def _predict_knn(model: KnnModel, X: np.ndarray) -> np.ndarray:
     X = _check_features(X, model.train_X.shape[1])
-    n_train = model.train_X.shape[0]
-    out = np.empty(X.shape[0], dtype=np.int64)
-    train_index = np.arange(n_train)
-    for r in range(X.shape[0]):
-        dists = np.linalg.norm(model.train_X - X[r], axis=1)
-        order = np.lexsort((train_index, dists))  # distance, then train index
-        votes = np.bincount(model.train_y[order[:model.k]])
-        out[r] = int(np.argmax(votes))  # first max = smallest class id
-    return out
+    nbrs, _ = nearest_neighbors(X, model.train_X, model.k)
+    n_classes = int(model.train_y.max()) + 1
+    labels = model.train_y[nbrs] + n_classes * np.arange(X.shape[0])[:, None]
+    votes = np.bincount(labels.ravel(), minlength=X.shape[0] * n_classes)
+    # first max = smallest class id
+    return np.argmax(votes.reshape(-1, n_classes), axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------- gnb

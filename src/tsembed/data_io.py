@@ -19,6 +19,7 @@ group across sides.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,7 @@ def _parse_float(text: str, line_no: int) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"line {line_no}: {text!r} is not a number") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"line {line_no}: non-finite value {text!r}")
     return value
 

@@ -13,6 +13,15 @@ M = (I - W)^T (I - W), scaled by sqrt(n_s). Out-of-sample points reuse the
 weight construction against the stored training points; a query that equals a
 training point exactly gets weight 1 on that point, which is the exact
 minimizer of the constrained reconstruction.
+
+Neighbours come from numcore.nearest_neighbors, which returns exactly the
+per-point loop's order (a BLAS distance estimate, an error margin, then exact
+re-ranking of the candidates), so the tie contract is unchanged. The weight
+systems of all points are solved as one batch by numcore.linear_solve_batched,
+bit-identical to per-point solves and raising the first point's NumericError.
+What remains dense is the spectral step: the n_s x n_s matrices W and M and a
+full eigendecomposition of M, O(n_s^2) memory and O(n_s^3) time; that is
+LLE's documented size cap.
 """
 
 from __future__ import annotations
@@ -22,7 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numcore import linear_solve, symmetric_eig
+from .numcore import linear_solve_batched, nearest_neighbors, symmetric_eig
+
+# Cap on neighbour-difference entries (points x K x features) per weight block.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -74,25 +86,24 @@ class LleModel:
     eigenvalues: np.ndarray  # the d eigenvalues matching the embedding columns
 
 
-def _neighbor_indices(point: np.ndarray, candidates: np.ndarray, K: int,
-                      exclude: int | None = None) -> np.ndarray:
-    """Indices of the K nearest candidates; ties broken by lower index."""
-    dists = np.linalg.norm(candidates - point, axis=1)
-    order = np.argsort(dists, kind="stable")
-    if exclude is not None:
-        order = order[order != exclude]
-    return order[:K]
+def _reconstruction_weights(points: np.ndarray, train: np.ndarray,
+                            nbrs: np.ndarray, reg: float) -> np.ndarray:
+    """Weight rows of each point over its neighbour rows nbrs of train.
 
-
-def _reconstruction_weights(point: np.ndarray, neighbors: np.ndarray,
-                            reg: float) -> np.ndarray:
-    """Solve the constrained least-squares weights over given neighbors."""
-    diffs = neighbors - point
-    G = diffs @ diffs.T
-    trace = np.trace(G)
-    G = G + reg * trace * np.eye(G.shape[0])
-    w = linear_solve(G, np.ones(G.shape[0]))
-    return w / w.sum()
+    Solves the constrained least-squares system of every point as one batch,
+    in blocks of at most _BLOCK_ELEMENTS neighbour-difference entries.
+    """
+    n_pts, K = nbrs.shape
+    weights = np.empty((n_pts, K))
+    step = max(1, _BLOCK_ELEMENTS // (K * max(train.shape[1], 1)))
+    for lo in range(0, n_pts, step):
+        diffs = train[nbrs[lo:lo + step]] - points[lo:lo + step, None, :]
+        G = diffs @ diffs.transpose(0, 2, 1)
+        trace = np.trace(G, axis1=1, axis2=2)
+        G = G + (reg * trace)[:, None, None] * np.eye(K)
+        w = linear_solve_batched(G, np.ones(G.shape[:2]))
+        weights[lo:lo + step] = w / w.sum(axis=1, keepdims=True)
+    return weights
 
 
 def lle_fit(X: np.ndarray, K: int, d: int, reg: float = 1e-3) -> LleModel:
@@ -107,13 +118,18 @@ def lle_fit(X: np.ndarray, K: int, d: int, reg: float = 1e-3) -> LleModel:
     if not 1 <= d <= K:
         raise ConfigError(f"LLE dimension must satisfy 1 <= d <= K = {K}, got {d}")
 
+    nbrs, _ = nearest_neighbors(X, X, K + 1)
+    keep = nbrs != np.arange(n_s)[:, None]
+    # a point behind K + 1 copies of itself is not in its list: drop the last
+    keep[keep.all(axis=1), K] = False
+    nbrs = nbrs[keep].reshape(n_s, K)
+    weights = _reconstruction_weights(X, X, nbrs, reg)
     W = np.zeros((n_s, n_s))
-    for i in range(n_s):
-        nbrs = _neighbor_indices(X[i], X, K, exclude=i)
-        w = _reconstruction_weights(X[i], X[nbrs], reg)
-        W[i, nbrs] = w
+    W[np.arange(n_s)[:, None], nbrs] = weights
 
     I = np.eye(n_s)
+    # two separate I - W operands: a shared one makes numpy call syrk, whose
+    # M differs from this product in the last bits
     M = (I - W).T @ (I - W)
     eig = symmetric_eig(M)
     # symmetric_eig sorts descending; the bottom of the spectrum is at the end.
@@ -132,15 +148,12 @@ def lle_transform(model: LleModel, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input has {rows.shape[1]} features, model expects "
             f"{model.train_points.shape[1]}")
+    nbrs, dists = nearest_neighbors(rows, model.train_points, model.K)
     out = np.empty((rows.shape[0], model.embedding.shape[1]))
-    for r in range(rows.shape[0]):
-        point = rows[r]
-        nbrs = _neighbor_indices(point, model.train_points, model.K)
-        dists = np.linalg.norm(model.train_points[nbrs] - point, axis=1)
-        if dists[0] == 0.0:
-            # exact hit: the constrained problem's minimizer is weight 1 here
-            out[r] = model.embedding[nbrs[0]]
-            continue
-        w = _reconstruction_weights(point, model.train_points[nbrs], model.reg)
-        out[r] = w @ model.embedding[nbrs]
+    # exact hit: the constrained problem's minimizer is weight 1 there
+    hit = dists[:, 0] == 0.0
+    out[hit] = model.embedding[nbrs[hit, 0]]
+    miss = ~hit
+    w = _reconstruction_weights(rows[miss], model.train_points, nbrs[miss], model.reg)
+    out[miss] = (w[:, None, :] @ model.embedding[nbrs[miss]])[:, 0]
     return out[0] if single else out

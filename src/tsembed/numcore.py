@@ -1,9 +1,19 @@
-"""Shared numerical kernels: symmetric eigendecomposition, linear solve, DFT.
+"""Shared numerical kernels: eigendecomposition, linear solves, neighbours, DFT.
 
 The eigendecomposition and DFT delegate to numpy's LAPACK/FFT bindings and
 add the contractual ordering and sign conventions on top. The linear solver
 is a plain LU factorization with partial pivoting so failures can report the
-exact pivot that collapsed, which library solvers do not surface.
+exact pivot that collapsed, which library solvers do not surface;
+linear_solve_batched runs a stack of such systems with the same float
+operations per system.
+
+nearest_neighbors is the exact k-nearest-neighbour search behind kNN and LLE.
+Its contract is a per-query loop: sort np.linalg.norm(train - q, axis=1)
+ascending, distance ties to the lower training index. It gets there without
+the loop: one BLAS matmul per block of queries estimates all squared
+distances, a rigorous floating-point error margin around the k-th smallest
+estimate selects candidate rows, and only the candidates get the loop's exact
+norm and a stable sort. The result is the loop's, bit for bit, ties included.
 """
 
 from __future__ import annotations
@@ -18,6 +28,10 @@ from .errors import ContractError, NumericError, ShapeError
 _SYMMETRY_TOL = 1e-10
 # Diagonal-ratio condition estimate above which a solve is refused.
 _CONDITION_LIMIT = 1e12
+# Cap on query rows x training rows per block of the neighbour search.
+_BLOCK_ELEMENTS = 1 << 20
+# Above this |q|^2 + max |t|^2 the distance estimates could overflow.
+_SCALE_LIMIT = 2.0 ** 1000
 
 
 @dataclass(frozen=True)
@@ -103,6 +117,141 @@ def linear_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (rhs[k] - U[k, k + 1:] @ x[k + 1:]) / U[k, k]
     return x[:, 0] if squeeze else x
+
+
+def linear_solve_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the stack of systems A[s] x[s] = b[s]; A is (m, n, n), b is (m, n).
+
+    Every system goes through linear_solve's float operations in the same
+    order, so x[s] equals linear_solve(A[s], b[s]) bit for bit. When systems
+    fail, the NumericError raised is the one linear_solve raises for the
+    lowest failing index.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ShapeError(f"expected a stack of square matrices, got shape {A.shape}")
+    m, n = A.shape[:2]
+    if b.shape != (m, n):
+        raise ShapeError(f"right-hand sides of shape {b.shape} do not match {(m, n)}")
+
+    U = A.copy()
+    rhs = b.copy()
+    amax = np.max(np.abs(A), axis=(1, 2))
+    scale = np.where(amax > 1.0, amax, 1.0)  # max(1.0, amax) as in linear_solve
+    tiny = np.finfo(float).eps * n * scale
+    systems = np.arange(m)
+    failed = np.zeros(m, dtype=bool)
+    errors: dict[int, str] = {}  # system -> message of its first failure
+
+    for k in range(n):
+        p = k + np.argmax(np.abs(U[:, k:, k]), axis=1)
+        pivot = U[systems, p, k]
+        for s in np.flatnonzero((np.abs(pivot) <= tiny) & ~failed):
+            errors[s] = (f"singular system: pivot {pivot[s]:.3e} at column {k} "
+                         f"below threshold")
+            # a failed system goes on as the identity, which warns about nothing
+            failed[s] = True
+            U[s] = np.eye(n)
+            rhs[s] = 0.0
+            p[s] = k
+            pivot[s] = 1.0
+        row_k = U[systems, k].copy()
+        U[systems, k] = U[systems, p]
+        U[systems, p] = row_k
+        rhs_k = rhs[systems, k].copy()
+        rhs[systems, k] = rhs[systems, p]
+        rhs[systems, p] = rhs_k
+        factors = U[:, k + 1:, k] / pivot[:, None]
+        U[:, k + 1:, k:] -= factors[:, :, None] * U[:, k, None, k:]
+        rhs[:, k + 1:] -= factors * rhs[:, k, None]
+
+    diag = np.abs(np.diagonal(U, axis1=1, axis2=2))
+    worst = np.argmin(diag, axis=1)
+    ratio = diag.max(axis=1) / diag[systems, worst]
+    for s in np.flatnonzero((ratio > _CONDITION_LIMIT) & ~failed):
+        w = worst[s]
+        errors[s] = (f"ill-conditioned system: pivot {U[s, w, w]:.3e} at column {w} "
+                     f"gives condition estimate above 1e12")
+    if errors:
+        raise NumericError(errors[min(errors)])
+
+    x = np.zeros_like(rhs)
+    for k in range(n - 1, -1, -1):
+        dot = (U[:, k, None, k + 1:] @ x[:, k + 1:, None])[:, 0, 0]
+        x[:, k] = (rhs[:, k] - dot) / U[:, k, k]
+    return x
+
+
+def nearest_neighbors(queries: np.ndarray, train: np.ndarray,
+                      k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest training rows of every query row, nearest first.
+
+    Returns (index, distance), both (n_queries, k). Row r is exactly the
+    first k of the loop that sorts np.linalg.norm(train - queries[r], axis=1)
+    with a stable sort, so distance ties go to the lower training index.
+    Needs 1 <= k <= n_train.
+    """
+    Q = np.asarray(queries, dtype=float)
+    T = np.asarray(train, dtype=float)
+    m, d = Q.shape
+    n = T.shape[0]
+    index = np.empty((m, k), dtype=np.int64)
+    dist = np.empty((m, k))
+    # Candidate margin. Let u = eps/2, D_j = |q - t_j|^2 in exact arithmetic,
+    # a_j the estimate (|q|^2 + |t_j|^2) - 2 q.t_j as computed below, s_j the
+    # float sum of squares inside np.linalg.norm and e_j = fl(sqrt(s_j)) the
+    # distance the loop sorts by. The bound |fl(x.y) - x.y| <= g_d |x|.|y|,
+    # g_d = d u / (1 - d u), holds for any summation order, with or without
+    # FMA, and gives
+    #   (1) |a_j - D_j| <= E := rel (|q|^2 + max_t |t|^2) + tiny
+    #   (2) |s_j - D_j| <= g D_j + d 2**-1074,  g = g_(d+2)
+    # where rel = 4 (d + 4) u is twice what (1) needs to first order, tiny
+    # (the smallest normal) exceeds every gradual-underflow term, and below
+    # _SCALE_LIMIT nothing overflows. Let alpha be the k-th smallest a. The k
+    # rows with a <= alpha have D <= alpha + E by (1); by (2) and the
+    # monotone, correctly rounded sqrt, the loop's k-th distance is then
+    # c <= sqrt((1 + g)(alpha + E) + tiny) (1 + u). A row j among the loop's
+    # first k has e_j <= c, so s_j <= c^2 / (1 - u)^2; (2) bounds D_j and (1)
+    #   a_j <= (alpha + E)(1 + (2 d + 8) u) + E + 3 tiny
+    # to first order in u. `bound` exceeds that: the factor-2 slack in rel and
+    # its 2 E cover the higher-order terms (d u is far below 2**-12) and its
+    # own rounding. So every row tied with the k-th distance is a candidate,
+    # ties that sqrt creates included, and the exact re-rank orders the
+    # candidates as the loop orders all rows.
+    eps = np.finfo(float).eps
+    rel = 2 * (d + 4) * eps
+    tiny = np.finfo(float).tiny
+    sq_t = np.einsum("ij,ij->i", T, T)
+    sq_t_max = sq_t.max()
+    step = max(1, _BLOCK_ELEMENTS // n)
+    chunk = max(1, _BLOCK_ELEMENTS // max(d, 1))
+    for lo in range(0, m, step):
+        q = Q[lo:lo + step]
+        sq_q = np.einsum("ij,ij->i", q, q)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # a non-finite estimate only sends its row to the full comparison
+            approx = sq_q[:, None] + sq_t - 2.0 * (q @ T.T)
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        scale = sq_q + sq_t_max
+        err = rel * scale + tiny
+        bound = (kth + err) * (1.0 + rel) + 2.0 * err
+        cand = approx <= bound[:, None]
+        # rows without a finite bound (NaN or inf anywhere) compare every row
+        cand[~(np.isfinite(bound) & (scale < _SCALE_LIMIT))] = True
+        rows, cols = np.nonzero(cand)
+        exact = np.empty(rows.shape[0])
+        for c in range(0, rows.shape[0], chunk):
+            sel = slice(c, c + chunk)
+            exact[sel] = np.linalg.norm(T[cols[sel]] - q[rows[sel]], axis=1)
+        # stable: equal distances keep nonzero's ascending training index
+        order = np.lexsort((exact, rows))
+        counts = cand.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        pick = order[starts[:, None] + np.arange(k)]
+        index[lo:lo + step] = cols[pick]
+        dist[lo:lo + step] = exact[pick]
+    return index, dist
 
 
 def dft(x: np.ndarray) -> SpectrumCoeffs:

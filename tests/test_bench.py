@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsembed
+from test_classify import predict_knn_reference
+from test_embed_subspace import lle_fit_reference, lle_transform_reference
+from tsembed import bench, classify
 from tsembed.bench import (CellResult, DatasetCfg, EmbeddingCfg, _cv_accuracy,
                            _expand_grid, _load_splits, _run_cell, average_rank,
                            dump_embeddings, emit_reports, load_config,
@@ -546,6 +549,62 @@ def test_run_grid_empty_val_uses_cross_validation(tones_csv, tmp_path):
     for c in report.cells:
         if c.classifier == "knn":
             assert c.selected_params["k"] in (1, 3)
+
+
+def write_long_csv(ds, path):
+    with open(path, "w") as fh:
+        fh.write("series_id,group,channel,t,value,label\n")
+        for rec in ds.series:
+            for t in range(rec.values.shape[0]):
+                token = ds.label_alphabet[int(rec.labels[t])]
+                for c in range(rec.values.shape[1]):
+                    fh.write(f"{rec.series_id},{rec.group},{c},{t},"
+                             f"{float(rec.values[t, c])!r},{token}\n")
+
+
+def test_run_grid_cv_path_equals_reference_loops(tmp_path, monkeypatch):
+    # no validation split: knn's k and every score come from 5-fold CV on
+    # neighbour orders, and lle embeds every fold's windows
+    path = tmp_path / "tones_long.csv"
+    write_long_csv(generate(SynthSpec(kind="tones", classes=3, n_per_class=12,
+                                      tau=40, channels=2, noise_sigma=0.3,
+                                      seed=31)), path)
+    obj = {
+        "seed": 13,
+        "datasets": [{"name": "tones", "path": str(path), "format": "long_csv",
+                      "tau": 16, "omega": 8, "normalization": "zscore",
+                      "ratios": [0.7, 0.0, 0.3]}],
+        "embeddings": [{"method": "fft"},
+                       {"method": "lle", "params": {"K": 6, "d": 3}}],
+        "classifiers": [{"kind": "knn", "grid": {"k": [1, 3, 5, 7]}},
+                        {"kind": "logreg", "params": {"max_iter": 50}}],
+    }
+
+    def reports(out_dir):
+        report = run_grid(parse_config(dict(obj, output_dir=str(out_dir))))
+        assert all(c.status == "ok" for c in report.cells)
+        emit_reports(report, str(out_dir))
+        files = {name: (out_dir / name).read_bytes()
+                 for name in ("cells.csv", "summary.csv", "ranks.csv")}
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        return files, manifest["selected_params"]
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fast = reports(tmp_path / "fast")
+    monkeypatch.setitem(classify._PREDICTORS, classify.KnnModel,
+                        counted(predict_knn_reference))
+    monkeypatch.setattr(bench, "lle_fit", counted(lle_fit_reference))
+    monkeypatch.setattr(bench, "lle_transform", counted(lle_transform_reference))
+    assert reports(tmp_path / "reference") == fast
+    assert {"predict_knn_reference", "lle_fit_reference",
+            "lle_transform_reference"} <= set(calls)
 
 
 def test_run_grid_rejects_oversized_windows(tones_csv, tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsembed import classify
+from pointsets import point_sets
+from tsembed import classify, numcore
 from tsembed.classify import (CLASSIFIER_KINDS, LabeledMatrix, accuracy,
                               best_split, fit, fit_forest, fit_gnb, fit_knn,
                               fit_logreg, fit_mlp, fit_tree, gnb_posteriors,
@@ -75,6 +76,66 @@ def test_knn_vote_tie_prefers_smallest_class():
                          np.array([1, 0], dtype=np.int64))
     model = fit_knn(data, k=2)
     assert predict(model, np.array([[1.0]]))[0] == 0
+
+
+def predict_knn_reference(model, X):
+    """The per-row loop: every distance, a lexsort, a vote over the first k."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    train_index = np.arange(model.train_X.shape[0])
+    for r in range(X.shape[0]):
+        dists = np.linalg.norm(model.train_X - X[r], axis=1)
+        order = np.lexsort((train_index, dists))  # distance, then train index
+        votes = np.bincount(model.train_y[order[:model.k]])
+        out[r] = int(np.argmax(votes))  # first max = smallest class id
+    return out
+
+
+def knn_cases(points, data):
+    train, queries = points
+    n_classes = data.draw(st.integers(1, 4))
+    y = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
+                                    min_size=train.shape[0],
+                                    max_size=train.shape[0])), dtype=np.int64)
+    k = data.draw(st.integers(1, train.shape[0]))
+    return fit_knn(LabeledMatrix(train, y), k=k), queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(), st.data())
+def test_knn_predict_equals_reference(points, data):
+    model, queries = knn_cases(points, data)
+    got = predict(model, queries)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, predict_knn_reference(model, queries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets(max_rows=30), st.data())
+def test_knn_predict_equals_reference_across_blocks(points, data):
+    model, queries = knn_cases(points, data)
+    saved = numcore._BLOCK_ELEMENTS
+    numcore._BLOCK_ELEMENTS = data.draw(st.integers(1, 120))
+    try:
+        got = predict(model, queries)
+    finally:
+        numcore._BLOCK_ELEMENTS = saved
+    np.testing.assert_array_equal(got, predict_knn_reference(model, queries))
+
+
+def test_knn_non_finite_query_votes_over_the_first_training_rows():
+    # every distance is NaN or inf, so all tie and the lowest indices vote;
+    # pinned to the behaviour of the per-row loop
+    data = LabeledMatrix(np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 9.0],
+                                   [9.0, 8.0], [8.0, 9.0]]),
+                         np.array([1, 0, 2, 2, 2], dtype=np.int64))
+    queries = np.array([[np.nan, 9.0], [np.inf, 9.0], [-np.inf, np.inf],
+                        [9.0, 9.0]])
+    for k, expected in ((1, [1, 1, 1, 2]), (2, [0, 0, 0, 2]), (3, [0, 0, 0, 2])):
+        model = fit_knn(data, k=k)
+        np.testing.assert_array_equal(predict(model, queries), expected)
+        np.testing.assert_array_equal(predict_knn_reference(model, queries),
+                                      expected)
 
 
 def test_knn_k_validation():

@@ -81,6 +81,13 @@ def test_long_csv_nan_rejected(tmp_path):
         load_long_csv(write(tmp_path / "f.csv", text))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_long_csv_non_finite_message(tmp_path, value):
+    text = LONG_HEADER + f"a,g,0,0,1.0,x\na,g,0,1,{value},x\n"
+    with pytest.raises(DataError, match=f"line 3: non-finite value '{value}'"):
+        load_long_csv(write(tmp_path / "f.csv", text))
+
+
 def test_long_csv_conflicting_labels_rejected(tmp_path):
     text = LONG_HEADER + "a,g,0,0,1.0,x\na,g,1,0,2.0,y\n"
     with pytest.raises(SchemaError):

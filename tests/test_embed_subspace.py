@@ -1,10 +1,17 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from tsembed.embed_subspace import (lle_fit, lle_transform, pca_fit,
+from pointsets import point_sets
+from tsembed import embed_subspace, numcore
+from tsembed.embed_subspace import (LleModel, lle_fit, lle_transform, pca_fit,
                                     pca_transform)
 from tsembed.errors import ConfigError, NumericError, ShapeError
+from tsembed.numcore import linear_solve, symmetric_eig
 from tsembed.rng import Xoshiro256StarStar
 
 
@@ -214,5 +221,129 @@ def test_lle_neighbor_ties_lower_index():
 def test_lle_duplicate_points_raise_numeric_error():
     # duplicated neighbors leave a zero Gram trace; regularization cannot help
     X = np.array([[0.0], [1.0], [1.0], [1.0], [5.0], [9.0]])
-    with pytest.raises(NumericError):
+    message = "singular system: pivot 0.000e+00 at column 0 below threshold"
+    with pytest.raises(NumericError) as reference:
+        lle_fit_reference(X, K=2, d=1)
+    assert str(reference.value) == message
+    with pytest.raises(NumericError) as got:
         lle_fit(X, K=2, d=1)
+    assert str(got.value) == message
+
+
+# ------------------------------------------------------------ lle oracles
+
+def _neighbor_indices(point, candidates, K, exclude=None):
+    """Indices of the K nearest candidates; ties broken by lower index."""
+    dists = np.linalg.norm(candidates - point, axis=1)
+    order = np.argsort(dists, kind="stable")
+    if exclude is not None:
+        order = order[order != exclude]
+    return order[:K]
+
+
+def _reconstruction_weights(point, neighbors, reg):
+    """Solve the constrained least-squares weights over given neighbors."""
+    diffs = neighbors - point
+    G = diffs @ diffs.T
+    trace = np.trace(G)
+    G = G + reg * trace * np.eye(G.shape[0])
+    w = linear_solve(G, np.ones(G.shape[0]))
+    return w / w.sum()
+
+
+def lle_fit_reference(X, K, d, reg=1e-3):
+    """The per-point loop: one neighbour sort and one weight solve per row."""
+    X = np.asarray(X, dtype=float)
+    n_s = X.shape[0]
+    W = np.zeros((n_s, n_s))
+    for i in range(n_s):
+        nbrs = _neighbor_indices(X[i], X, K, exclude=i)
+        W[i, nbrs] = _reconstruction_weights(X[i], X[nbrs], reg)
+    I = np.eye(n_s)
+    M = (I - W).T @ (I - W)
+    eig = symmetric_eig(M)
+    ascending_vals = eig.eigenvalues[::-1]
+    ascending_vecs = eig.eigenvectors[:, ::-1]
+    embedding = ascending_vecs[:, 1:d + 1] * np.sqrt(n_s)
+    return LleModel(X.copy(), K, reg, W, embedding, ascending_vals[1:d + 1].copy())
+
+
+def lle_transform_reference(model, x):
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    rows = x.reshape(1, -1) if single else x
+    out = np.empty((rows.shape[0], model.embedding.shape[1]))
+    for r in range(rows.shape[0]):
+        point = rows[r]
+        nbrs = _neighbor_indices(point, model.train_points, model.K)
+        dists = np.linalg.norm(model.train_points[nbrs] - point, axis=1)
+        if dists[0] == 0.0:
+            out[r] = model.embedding[nbrs[0]]
+            continue
+        w = _reconstruction_weights(point, model.train_points[nbrs], model.reg)
+        out[r] = w @ model.embedding[nbrs]
+    return out[0] if single else out
+
+
+@contextmanager
+def block_elements(neighbors, weights):
+    saved = numcore._BLOCK_ELEMENTS, embed_subspace._BLOCK_ELEMENTS
+    numcore._BLOCK_ELEMENTS, embed_subspace._BLOCK_ELEMENTS = neighbors, weights
+    try:
+        yield
+    finally:
+        numcore._BLOCK_ELEMENTS, embed_subspace._BLOCK_ELEMENTS = saved
+
+
+def assert_lle_equals_reference(X, queries, K, d):
+    try:
+        ref = lle_fit_reference(X, K, d)
+    except NumericError as e:
+        with pytest.raises(NumericError) as got:
+            lle_fit(X, K, d)
+        assert str(got.value) == str(e)
+        return
+    model = lle_fit(X, K, d)
+    for name in ("weights", "embedding", "eigenvalues"):
+        assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+    try:
+        expected = lle_transform_reference(ref, queries)
+    except NumericError as e:
+        with pytest.raises(NumericError) as got:
+            lle_transform(model, queries)
+        assert str(got.value) == str(e)
+        return
+    assert lle_transform(model, queries).tobytes() == expected.tobytes()
+
+
+def lle_cases(points, data):
+    X, queries = points
+    K = data.draw(st.integers(1, X.shape[0] - 2))
+    return X, queries, K, data.draw(st.integers(1, K))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(min_rows=3, max_rows=40), st.data())
+def test_lle_equals_reference(points, data):
+    assert_lle_equals_reference(*lle_cases(points, data))
+
+
+@settings(max_examples=75, deadline=None)
+@given(point_sets(min_rows=3, max_rows=25), st.data())
+def test_lle_equals_reference_across_blocks(points, data):
+    case = lle_cases(points, data)
+    with block_elements(data.draw(st.integers(1, 120)),
+                        data.draw(st.integers(1, 400))):
+        assert_lle_equals_reference(*case)
+
+
+def test_lle_self_exclusion_with_duplicates_before_and_after():
+    # rows 0, 2, 5 and 7 coincide: for K <= 3 a neighbourhood of copies fails
+    # as the loop fails; larger K mixes copies before and after the point,
+    # in index order and without the point itself, with other rows
+    rng = np.random.default_rng(11)
+    X = np.round(rng.normal(size=(10, 3)), 1)
+    X[[2, 5, 7]] = X[0]
+    X[9] = X[0] + 0.1
+    for K in (2, 3, 4, 6):
+        assert_lle_equals_reference(X, X[[0, 5, 9]] + 0.05, K, 1)

@@ -1,8 +1,15 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pointsets import point_sets
+from tsembed import numcore
 from tsembed.errors import ContractError, NumericError, ShapeError
-from tsembed.numcore import dft, idft, linear_solve, symmetric_eig
+from tsembed.numcore import (dft, idft, linear_solve, linear_solve_batched,
+                             nearest_neighbors, symmetric_eig)
 from tsembed.rng import Xoshiro256StarStar
 
 
@@ -146,6 +153,135 @@ def test_solve_ill_conditioned_rejected():
 def test_solve_shape_mismatch():
     with pytest.raises(ShapeError):
         linear_solve(np.eye(2), np.ones(3))
+
+
+# ------------------------------------------------------------ linear_solve_batched
+
+def solve_each(A, b):
+    """The oracle: linear_solve on every system of the stack, in order."""
+    return np.array([linear_solve(A[s], b[s]) for s in range(A.shape[0])]
+                    ).reshape(b.shape)
+
+
+@st.composite
+def system_stacks(draw):
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(m, n, n))
+    if draw(st.booleans()):
+        A = np.round(A)   # exact zeros and ties among the pivot candidates
+    if draw(st.booleans()):
+        A = A @ A.transpose(0, 2, 1) + np.eye(n)   # Gram-like, as LLE builds
+    return A, rng.normal(size=(m, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system_stacks())
+def test_solve_batched_equals_looped_solve(stack):
+    A, b = stack
+    try:
+        expected = solve_each(A, b)
+    except NumericError as e:
+        with pytest.raises(NumericError) as got:
+            linear_solve_batched(A, b)
+        assert str(got.value) == str(e)
+        return
+    assert linear_solve_batched(A, b).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("first, second", [
+    (np.diag([1.0, 1e-14]), np.array([[1.0, 2.0], [2.0, 4.0]])),
+    (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-14])),
+])
+def test_solve_batched_raises_the_lowest_failing_system(first, second):
+    # the later system fails earlier in the elimination; the loop still
+    # raises for the first one, and so must the batch
+    A = np.stack([np.eye(2), first, second, np.eye(2)])
+    b = np.ones((4, 2))
+    with pytest.raises(NumericError) as looped:
+        solve_each(A, b)
+    with pytest.raises(NumericError) as batched:
+        linear_solve_batched(A, b)
+    assert str(batched.value) == str(looped.value)
+    assert str(batched.value) == str(pytest.raises(
+        NumericError, linear_solve, first, np.ones(2)).value)
+
+
+def test_solve_batched_shape_mismatch():
+    with pytest.raises(ShapeError):
+        linear_solve_batched(np.eye(2), np.ones(2))
+    with pytest.raises(ShapeError):
+        linear_solve_batched(np.ones((3, 2, 2)), np.ones((3, 3)))
+
+
+# ------------------------------------------------------------ nearest_neighbors
+
+def nearest_neighbors_reference(queries, train, k):
+    """The loop: every distance, a stable sort, the first k."""
+    index = np.empty((queries.shape[0], k), dtype=np.int64)
+    dist = np.empty((queries.shape[0], k))
+    for r in range(queries.shape[0]):
+        d = np.linalg.norm(train - queries[r], axis=1)
+        order = np.argsort(d, kind="stable")[:k]
+        index[r], dist[r] = order, d[order]
+    return index, dist
+
+
+@contextmanager
+def block_elements(value):
+    saved = numcore._BLOCK_ELEMENTS
+    numcore._BLOCK_ELEMENTS = value
+    try:
+        yield
+    finally:
+        numcore._BLOCK_ELEMENTS = saved
+
+
+def assert_neighbors_equal(queries, train, k):
+    got = nearest_neighbors(queries, train, k)
+    ref = nearest_neighbors_reference(queries, train, k)
+    assert got[0].dtype == ref[0].dtype
+    np.testing.assert_array_equal(got[0], ref[0])
+    assert got[1].tobytes() == ref[1].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(), st.data())
+def test_nearest_neighbors_equal_reference(points, data):
+    train, queries = points
+    k = data.draw(st.integers(1, train.shape[0]))
+    assert_neighbors_equal(queries, train, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(max_rows=30), st.data())
+def test_nearest_neighbors_equal_reference_across_blocks(points, data):
+    # a cap of a few elements puts one query per block and splits the re-rank
+    train, queries = points
+    k = data.draw(st.integers(1, train.shape[0]))
+    with block_elements(data.draw(st.integers(1, 200))):
+        assert_neighbors_equal(queries, train, k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_neighbors_non_finite_queries_match_reference(bad):
+    rng = np.random.default_rng(5)
+    train = np.round(rng.normal(size=(25, 7)))
+    queries = np.round(rng.normal(size=(4, 7)))
+    queries[1, 3] = bad
+    queries[2] = bad
+    queries[3, :2] = [np.inf, -np.inf]
+    for k in (1, 6, 25):
+        assert_neighbors_equal(queries, train, k)
+
+
+def test_nearest_neighbors_ties_go_to_lower_index():
+    train = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                      [0.0, 0.0], [0.0, 0.0]])
+    index, dist = nearest_neighbors(np.zeros((1, 2)), train, 4)
+    np.testing.assert_array_equal(index, [[4, 5, 0, 1]])
+    np.testing.assert_array_equal(dist, [[0.0, 0.0, 1.0, 1.0]])
 
 
 # ------------------------------------------------------------ dft
