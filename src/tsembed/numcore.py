@@ -156,12 +156,9 @@ def linear_solve_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             rhs[s] = 0.0
             p[s] = k
             pivot[s] = 1.0
-        row_k = U[systems, k].copy()
-        U[systems, k] = U[systems, p]
-        U[systems, p] = row_k
-        rhs_k = rhs[systems, k].copy()
-        rhs[systems, k] = rhs[systems, p]
-        rhs[systems, p] = rhs_k
+        # row swap; fancy indexing copies both rows before either is written
+        U[systems, k], U[systems, p] = U[systems, p], U[systems, k]
+        rhs[systems, k], rhs[systems, p] = rhs[systems, p], rhs[systems, k]
         factors = U[:, k + 1:, k] / pivot[:, None]
         U[:, k + 1:, k:] -= factors[:, :, None] * U[:, k, None, k:]
         rhs[:, k + 1:] -= factors * rhs[:, k, None]

@@ -195,8 +195,9 @@ def test_solve_batched_equals_looped_solve(stack):
     (np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-14])),
 ])
 def test_solve_batched_raises_the_lowest_failing_system(first, second):
-    # the later system fails earlier in the elimination; the loop still
-    # raises for the first one, and so must the batch
+    # a singular pivot shows during the elimination, ill-conditioning only
+    # after it; either way the loop raises for the first failing system, and
+    # so must the batch
     A = np.stack([np.eye(2), first, second, np.eye(2)])
     b = np.ones((4, 2))
     with pytest.raises(NumericError) as looped:
