@@ -11,6 +11,11 @@ method, classifier), select hyperparameters on the validation split (or
 report test accuracy. A numeric failure inside one cell records that cell as
 errored and leaves every other cell untouched.
 
+Embedding methods are one table: method -> (param defaults, fit, transform).
+make_embedder checks a config's params against the defaults by the rule
+classify.fit applies to classifier params (classify.check_params), so a bad
+embedding param fails at parse time, before any work starts.
+
 Ranking: per dataset, methods are ranked by descending mean accuracy (rank 1
 is best). Two tie policies exist: "first", where the earlier-listed method
 wins exact ties (the default used in reports), and "competition", where tied
@@ -28,7 +33,6 @@ records the parsed config and the effective per-method parameters.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,10 +46,10 @@ from .embed_spectral import CwtConfig, default_scales, fft_embed, wavelet_embed
 from .embed_subspace import lle_fit, lle_transform, pca_fit, pca_transform
 from .embed_tda import DEFAULT_GRID_SIZE, tda_embed
 from .errors import ConfigError, DataError, ParseError, TsembedError
-from .preprocess import Window, apply_normalizer_all, fit_normalizer, segment_dataset
+from .preprocess import (Window, apply_normalizer_all, fit_normalizer, flatten_windows,
+                         segment_dataset)
 from .rng import Xoshiro256StarStar, derive_seed
 
-EMBEDDING_METHODS = ("fft", "wavelet", "pca", "lle", "graph", "tda", "ae")
 DEFAULT_RATIOS = (0.7, 0.15, 0.15)
 DEFAULT_EMBED_DIM = 16
 
@@ -96,7 +100,18 @@ class BenchConfig:
     classifiers: tuple[ClassifierCfg, ...]
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, what: str):
+    """value, if it has the JSON type kind (a tuple also serves as a list)."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise ConfigError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+    _typed(obj, dict, where)
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
@@ -113,6 +128,9 @@ def _parse_dataset(obj: dict, index: int) -> DatasetCfg:
                  "train_path", "val_path", "test_path", "channels", "ratios"},
         required={"name", "tau", "omega", "normalization", "format"},
         where=where)
+    for key in ("name", "path", "train_path", "val_path", "test_path"):
+        if key in obj:
+            _typed(obj[key], str, f"{where}: {key}")
     has_single = "path" in obj
     has_split = all(k in obj for k in ("train_path", "val_path", "test_path"))
     has_any_split = any(k in obj for k in ("train_path", "val_path", "test_path"))
@@ -129,14 +147,14 @@ def _parse_dataset(obj: dict, index: int) -> DatasetCfg:
     ratios = obj.get("ratios", DEFAULT_RATIOS)
     if not isinstance(ratios, (list, tuple)) or len(ratios) != 3:
         raise ConfigError(f"{where}: ratios must be a list of three entries")
-    if not all(_is_real(r) for r in ratios):
-        raise ConfigError(f"{where}: ratios must be finite numbers, got {ratios!r}")
+    for r in ratios:
+        classify.check_value(r, float, f"{where}: ratios")
     channels = obj.get("channels")
     if channels is not None:
-        channels = _config_int(channels, f"{where}: channels")
+        channels = classify.check_value(channels, int, f"{where}: channels")
     return DatasetCfg(
-        name=obj["name"], tau=_config_int(obj["tau"], f"{where}: tau"),
-        omega=_config_int(obj["omega"], f"{where}: omega"),
+        name=obj["name"], tau=classify.check_value(obj["tau"], int, f"{where}: tau"),
+        omega=classify.check_value(obj["omega"], int, f"{where}: omega"),
         normalization=obj["normalization"], format=obj["format"],
         path=obj.get("path"), train_path=obj.get("train_path"),
         val_path=obj.get("val_path"), test_path=obj.get("test_path"),
@@ -150,8 +168,9 @@ def _parse_embedding(obj: dict, index: int) -> EmbeddingCfg:
     method = obj["method"]
     if method not in EMBEDDING_METHODS:
         raise ConfigError(f"{where}: unknown embedding method {method!r}")
-    cfg = EmbeddingCfg(method=method, name=obj.get("name", method),
-                       params=dict(obj.get("params", {})))
+    cfg = EmbeddingCfg(method=method,
+                       name=_typed(obj.get("name", method), str, f"{where}: name"),
+                       params=dict(_typed(obj.get("params", {}), dict, f"{where}: params")))
     make_embedder(cfg)  # rejects unknown params before any work starts
     return cfg
 
@@ -163,12 +182,13 @@ def _parse_classifier(obj: dict, index: int) -> ClassifierCfg:
     kind = obj["kind"]
     if kind not in classify.CLASSIFIER_KINDS:
         raise ConfigError(f"{where}: unknown classifier kind {kind!r}")
-    grid = dict(obj.get("grid", {}))
+    grid = dict(_typed(obj.get("grid", {}), dict, f"{where}: grid"))
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{where}: grid entry {key!r} must be a nonempty list")
-    return ClassifierCfg(kind=kind, name=obj.get("name", kind),
-                         params=dict(obj.get("params", {})), grid=grid)
+    params = _typed(obj.get("params", {}), dict, f"{where}: params")
+    return ClassifierCfg(kind=kind, name=_typed(obj.get("name", kind), str, f"{where}: name"),
+                         params=dict(params), grid=grid)
 
 
 def parse_config(obj: dict) -> BenchConfig:
@@ -176,9 +196,12 @@ def parse_config(obj: dict) -> BenchConfig:
                                 "classifiers"},
                   required={"output_dir", "datasets", "embeddings", "classifiers"},
                   where="config")
-    datasets = tuple(_parse_dataset(d, i) for i, d in enumerate(obj["datasets"]))
-    embeddings = tuple(_parse_embedding(e, i) for i, e in enumerate(obj["embeddings"]))
-    classifiers = tuple(_parse_classifier(c, i) for i, c in enumerate(obj["classifiers"]))
+    entries = {key: _typed(obj[key], list, f"config: {key}")
+               for key in ("datasets", "embeddings", "classifiers")}
+    datasets = tuple(_parse_dataset(d, i) for i, d in enumerate(entries["datasets"]))
+    embeddings = tuple(_parse_embedding(e, i) for i, e in enumerate(entries["embeddings"]))
+    classifiers = tuple(_parse_classifier(c, i)
+                        for i, c in enumerate(entries["classifiers"]))
     for label, names in (("dataset", [d.name for d in datasets]),
                          ("embedding", [e.name for e in embeddings]),
                          ("classifier", [c.name for c in classifiers])):
@@ -186,8 +209,9 @@ def parse_config(obj: dict) -> BenchConfig:
             raise ConfigError(f"duplicate {label} names in config")
     if not datasets or not embeddings or not classifiers:
         raise ConfigError("config needs at least one dataset, embedding, and classifier")
-    return BenchConfig(_config_int(obj.get("seed", 0), "config: seed"),
-                       obj["output_dir"], datasets, embeddings, classifiers)
+    return BenchConfig(classify.check_value(obj.get("seed", 0), int, "config: seed"),
+                       _typed(obj["output_dir"], str, "config: output_dir"),
+                       datasets, embeddings, classifiers)
 
 
 def load_config(path: str) -> BenchConfig:
@@ -203,191 +227,95 @@ def load_config(path: str) -> BenchConfig:
 
 # ---------------------------------------------------------------- embedders
 
-class _Embedder:
-    """fit(train_windows, seed) -> effective param dict; transform(windows)."""
-
-    def __init__(self, cfg: EmbeddingCfg):
-        self.cfg = cfg
-
-    def fit(self, windows: list[Window], seed: int) -> dict:
-        raise NotImplementedError
-
-    def transform(self, windows: list[Window]) -> np.ndarray:
-        raise NotImplementedError
+def _no_fit(windows: list[Window], params: dict, seed: int):
+    return None, {}
 
 
-def _check_params(params: dict, allowed: set[str], method: str) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigError(f"embedding {method!r}: unknown param(s) {sorted(unknown)}")
+def _fit_tda(windows: list[Window], params: dict, seed: int):
+    return params["grid_size"], dict(params)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _fit_wavelet(windows: list[Window], params: dict, seed: int):
+    scales = params["scales"]
+    if scales is None:
+        scales = tuple(float(a) for a in default_scales(windows[0].values.shape[0]))
+    return (CwtConfig(scales, params["omega0"]),
+            {"scales": list(scales), "omega0": params["omega0"]})
 
 
-def _is_real(value) -> bool:
-    return _is_int(value) or (isinstance(value, (float, np.floating))
-                              and math.isfinite(value))
+def _fit_pca(windows: list[Window], params: dict, seed: int):
+    X = flatten_windows(windows)
+    d = min(params["d"], X.shape[0] - 1, X.shape[1])
+    if d < 1:
+        raise ConfigError(f"pca: cannot fit any component on {X.shape[0]} windows")
+    return pca_fit(X, d), {"d": d}
 
 
-def _config_int(value, what: str) -> int:
-    if not _is_int(value):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def _fit_lle(windows: list[Window], params: dict, seed: int):
+    X = flatten_windows(windows)
+    K = min(params["K"], X.shape[0] - 2)
+    d = min(params["d"], K)
+    if K < 1 or d < 1:
+        raise ConfigError(f"lle: {X.shape[0]} windows leave no valid K")
+    return lle_fit(X, K, d, params["reg"]), {"d": d, "K": K, "reg": params["reg"]}
 
 
-def _int_param(cfg: EmbeddingCfg, key: str, default: int) -> int:
-    return _config_int(cfg.params.get(key, default),
-                       f"embedding {cfg.method!r}: param {key!r}")
+def _fit_ae(windows: list[Window], params: dict, seed: int):
+    d = min(params["d"], windows[0].values.size - 1)
+    model = ae_train(windows, d, params["epochs"], params["batch"], seed)
+    return model, dict(params, d=d)
 
 
-def _float_param(cfg: EmbeddingCfg, key: str, default: float) -> float:
-    value = cfg.params.get(key, default)
-    if not _is_real(value):
-        raise ConfigError(f"embedding {cfg.method!r}: param {key!r} must be a "
-                          f"finite number, got {value!r}")
-    return float(value)
+def _each_window(embed_one):
+    """transform for a per-window function of (window, fitted state)."""
+    return lambda state, windows: np.stack([embed_one(w, state) for w in windows])
 
 
-def _flatten(windows: list[Window]) -> np.ndarray:
-    return np.stack([w.values.T.reshape(-1) for w in windows])
-
-
-class _StatelessEmbedder(_Embedder):
-    def __init__(self, cfg: EmbeddingCfg, fn):
-        super().__init__(cfg)
-        self._fn = fn
-
-    def fit(self, windows: list[Window], seed: int) -> dict:
-        return {}
-
-    def transform(self, windows: list[Window]) -> np.ndarray:
-        return np.stack([self._fn(w) for w in windows])
-
-
-class _FftEmbedder(_StatelessEmbedder):
-    def __init__(self, cfg: EmbeddingCfg):
-        _check_params(cfg.params, set(), "fft")
-        super().__init__(cfg, fft_embed)
-
-
-class _GraphEmbedder(_StatelessEmbedder):
-    def __init__(self, cfg: EmbeddingCfg):
-        _check_params(cfg.params, set(), "graph")
-        super().__init__(cfg, graph_embed)
-
-
-class _TdaEmbedder(_StatelessEmbedder):
-    def __init__(self, cfg: EmbeddingCfg):
-        _check_params(cfg.params, {"grid_size"}, "tda")
-        grid_size = _int_param(cfg, "grid_size", DEFAULT_GRID_SIZE)
-        super().__init__(cfg, lambda w: tda_embed(w, grid_size))
-        self._grid_size = grid_size
-
-    def fit(self, windows: list[Window], seed: int) -> dict:
-        return {"grid_size": self._grid_size}
-
-
-class _WaveletEmbedder(_Embedder):
-    def __init__(self, cfg: EmbeddingCfg):
-        super().__init__(cfg)
-        _check_params(cfg.params, {"scales", "omega0"}, "wavelet")
-        scales = cfg.params.get("scales")
-        if scales is not None and not (
-                isinstance(scales, (list, tuple, np.ndarray))
-                and all(map(_is_real, scales))):
-            raise ConfigError(f"embedding 'wavelet': param 'scales' must be a list "
-                              f"of finite numbers, got {scales!r}")
-        self._scales = None if scales is None else tuple(float(a) for a in scales)
-        self._omega0 = _float_param(cfg, "omega0", 6.0)
-        self._cwt_cfg: CwtConfig | None = None
-
-    def fit(self, windows: list[Window], seed: int) -> dict:
-        tau = windows[0].values.shape[0]
-        scales = self._scales
-        if scales is None:
-            scales = tuple(float(a) for a in default_scales(tau))
-        self._cwt_cfg = CwtConfig(scales, self._omega0)
-        return {"scales": list(scales), "omega0": self._omega0}
-
-    def transform(self, windows: list[Window]) -> np.ndarray:
-        return np.stack([wavelet_embed(w, self._cwt_cfg) for w in windows])
-
-
-class _PcaEmbedder(_Embedder):
-    def __init__(self, cfg: EmbeddingCfg):
-        super().__init__(cfg)
-        _check_params(cfg.params, {"d"}, "pca")
-        self._want_d = _int_param(cfg, "d", DEFAULT_EMBED_DIM)
-        self._model = None
-
-    def fit(self, windows: list[Window], seed: int) -> dict:
-        X = _flatten(windows)
-        d = min(self._want_d, X.shape[0] - 1, X.shape[1])
-        if d < 1:
-            raise ConfigError(f"pca: cannot fit any component on {X.shape[0]} windows")
-        self._model = pca_fit(X, d)
-        return {"d": d}
-
-    def transform(self, windows: list[Window]) -> np.ndarray:
-        return pca_transform(self._model, _flatten(windows))
-
-
-class _LleEmbedder(_Embedder):
-    def __init__(self, cfg: EmbeddingCfg):
-        super().__init__(cfg)
-        _check_params(cfg.params, {"d", "K", "reg"}, "lle")
-        self._want_k = _int_param(cfg, "K", 20)
-        self._want_d = _int_param(cfg, "d", DEFAULT_EMBED_DIM)
-        self._reg = _float_param(cfg, "reg", 1e-3)
-        self._model = None
-
-    def fit(self, windows: list[Window], seed: int) -> dict:
-        X = _flatten(windows)
-        K = min(self._want_k, X.shape[0] - 2)
-        d = min(self._want_d, K)
-        if K < 1 or d < 1:
-            raise ConfigError(f"lle: {X.shape[0]} windows leave no valid K")
-        self._model = lle_fit(X, K, d, self._reg)
-        return {"d": d, "K": K, "reg": self._reg}
-
-    def transform(self, windows: list[Window]) -> np.ndarray:
-        return lle_transform(self._model, _flatten(windows))
-
-
-class _AeEmbedder(_Embedder):
-    def __init__(self, cfg: EmbeddingCfg):
-        super().__init__(cfg)
-        _check_params(cfg.params, {"d", "epochs", "batch"}, "ae")
-        self._want_d = _int_param(cfg, "d", DEFAULT_EMBED_DIM)
-        self._epochs = _int_param(cfg, "epochs", 100)
-        self._batch = _int_param(cfg, "batch", 64)
-        self._model = None
-
-    def fit(self, windows: list[Window], seed: int) -> dict:
-        n_features = windows[0].values.size
-        d = min(self._want_d, n_features - 1)
-        self._model = ae_train(windows, d, self._epochs, self._batch, seed)
-        return {"d": d, "epochs": self._epochs, "batch": self._batch}
-
-    def transform(self, windows: list[Window]) -> np.ndarray:
-        return ae_embed(self._model, windows)
-
-
-_EMBEDDER_CLASSES = {
-    "fft": _FftEmbedder,
-    "wavelet": _WaveletEmbedder,
-    "pca": _PcaEmbedder,
-    "lle": _LleEmbedder,
-    "graph": _GraphEmbedder,
-    "tda": _TdaEmbedder,
-    "ae": _AeEmbedder,
+# method -> (param defaults, fit(train_windows, params, seed) -> (state,
+# effective params), transform(state, windows) -> (n, width) matrix)
+_EMBEDDERS = {
+    "fft": ({}, _no_fit, _each_window(lambda w, _: fft_embed(w))),
+    "wavelet": ({"scales": None, "omega0": 6.0}, _fit_wavelet,
+                _each_window(wavelet_embed)),
+    "pca": ({"d": DEFAULT_EMBED_DIM}, _fit_pca,
+            lambda model, windows: pca_transform(model, flatten_windows(windows))),
+    "lle": ({"d": DEFAULT_EMBED_DIM, "K": 20, "reg": 1e-3}, _fit_lle,
+            lambda model, windows: lle_transform(model, flatten_windows(windows))),
+    "graph": ({}, _no_fit, _each_window(lambda w, _: graph_embed(w))),
+    "tda": ({"grid_size": DEFAULT_GRID_SIZE}, _fit_tda, _each_window(tda_embed)),
+    "ae": ({"d": DEFAULT_EMBED_DIM, "epochs": 100, "batch": 64}, _fit_ae, ae_embed),
 }
+EMBEDDING_METHODS = tuple(_EMBEDDERS)
 
 
-def make_embedder(cfg: EmbeddingCfg) -> _Embedder:
-    return _EMBEDDER_CLASSES[cfg.method](cfg)
+class Embedder:
+    """One embedding method with checked params; fit keeps the fitted state."""
+
+    def __init__(self, method: str, params: dict):
+        _, self._fit, self._transform = _EMBEDDERS[method]
+        self.params = params
+        self.state = None
+
+    def fit(self, windows: list[Window], seed: int) -> dict:
+        """Fit on train windows; return the effective params."""
+        self.state, effective = self._fit(windows, self.params, seed)
+        return effective
+
+    def transform(self, windows: list[Window]) -> np.ndarray:
+        return self._transform(self.state, windows)
+
+
+def make_embedder(cfg: EmbeddingCfg) -> Embedder:
+    """An unfitted embedder; unknown or wrongly typed params raise ConfigError."""
+    params = classify.check_params(f"embedding {cfg.method!r}",
+                                   _EMBEDDERS[cfg.method][0], cfg.params)
+    scales = params.get("scales")
+    if scales is not None:
+        what = "embedding 'wavelet': parameter 'scales'"
+        if not isinstance(scales, (list, tuple, np.ndarray)):
+            raise ConfigError(f"{what} must be a list of finite numbers, got {scales!r}")
+        params["scales"] = tuple(classify.check_value(a, float, what) for a in scales)
+    return Embedder(cfg.method, params)
 
 
 # ---------------------------------------------------------------- ranking
@@ -507,6 +435,16 @@ def _load_splits(ds: DatasetCfg, master_seed: int):
         raise ConfigError(f"dataset {ds.name!r}: {e}") from None
 
 
+def _prepare(ds: DatasetCfg, master_seed: int) -> list[list[Window]]:
+    """Train, val and test windows, normalized with statistics of train."""
+    splits = [segment_dataset(part, ds.tau, ds.omega)
+              for part in _load_splits(ds, master_seed)]
+    if not splits[0]:
+        raise ConfigError(f"dataset {ds.name!r}: no training windows after segmentation")
+    norm = fit_normalizer(splits[0], ds.normalization)
+    return [apply_normalizer_all(norm, windows) for windows in splits]
+
+
 def _expand_grid(grid: dict) -> list[dict]:
     if not grid:
         return [{}]
@@ -543,8 +481,14 @@ def _cv_accuracy(kind: str, params: dict, X: np.ndarray, y: np.ndarray,
 _SEEDED_KINDS = {"forest", "mlp"}
 
 
-def _run_cell(clf: ClassifierCfg, Xtr, ytr, Xval, yval, Xte, yte,
-              cell_seed: int) -> CellResult:
+def _error_cell(dataset: str, embedding: str, classifier: str,
+                err: Exception) -> CellResult:
+    return CellResult(dataset, embedding, classifier, None,
+                      f"error:{type(err).__name__}", {}, 0.0)
+
+
+def _run_cell(dataset: str, embedding: str, clf: ClassifierCfg,
+              Xtr, ytr, Xval, yval, Xte, yte, cell_seed: int) -> CellResult:
     combos = _expand_grid(clf.grid)
     best_acc = None
     best_combo = None
@@ -568,16 +512,15 @@ def _run_cell(clf: ClassifierCfg, Xtr, ytr, Xval, yval, Xte, yte,
             best_combo = params
     if best_combo is None:
         err = errors[-1] if errors else ConfigError("no grid combination fit")
-        return CellResult("", "", clf.name, None,
-                          f"error:{type(err).__name__}", {}, 0.0)
+        return _error_cell(dataset, embedding, clf.name, err)
     try:
         model = classify.fit(clf.kind, classify.LabeledMatrix(Xtr, ytr), best_combo)
         fit_seconds = time.perf_counter() - t0
         test_acc = classify.accuracy(classify.predict(model, Xte), yte)
     except TsembedError as e:
-        return CellResult("", "", clf.name, None,
-                          f"error:{type(e).__name__}", {}, 0.0)
-    return CellResult("", "", clf.name, float(test_acc), "ok", best_combo, fit_seconds)
+        return _error_cell(dataset, embedding, clf.name, e)
+    return CellResult(dataset, embedding, clf.name, float(test_acc), "ok", best_combo,
+                      fit_seconds)
 
 
 def run_grid(cfg: BenchConfig) -> EvaluationReport:
@@ -586,18 +529,9 @@ def run_grid(cfg: BenchConfig) -> EvaluationReport:
     effective: dict = {}
 
     for ds in cfg.datasets:
-        train_ds, val_ds, test_ds = _load_splits(ds, cfg.seed)
-        train_w = segment_dataset(train_ds, ds.tau, ds.omega)
-        val_w = segment_dataset(val_ds, ds.tau, ds.omega)
-        test_w = segment_dataset(test_ds, ds.tau, ds.omega)
-        if not train_w:
-            raise ConfigError(f"dataset {ds.name!r}: no training windows after segmentation")
+        train_w, val_w, test_w = _prepare(ds, cfg.seed)
         if not test_w:
             raise ConfigError(f"dataset {ds.name!r}: no test windows after segmentation")
-        norm = fit_normalizer(train_w, ds.normalization)
-        train_w = apply_normalizer_all(norm, train_w)
-        val_w = apply_normalizer_all(norm, val_w)
-        test_w = apply_normalizer_all(norm, test_w)
         ytr = np.array([w.label for w in train_w], dtype=np.int64)
         yval = np.array([w.label for w in val_w], dtype=np.int64)
         yte = np.array([w.label for w in test_w], dtype=np.int64)
@@ -619,20 +553,15 @@ def run_grid(cfg: BenchConfig) -> EvaluationReport:
                 train_s, infer_s = time_cell(fit_part, infer_part)
                 Xval = embedder.transform(val_w) if val_w else None
             except TsembedError as e:
-                status = f"error:{type(e).__name__}"
-                for clf in cfg.classifiers:
-                    cells.append(CellResult(ds.name, emb.name, clf.name, None,
-                                            status, {}, 0.0))
+                cells += [_error_cell(ds.name, emb.name, clf.name, e)
+                          for clf in cfg.classifiers]
                 continue
             effective[ds.name][emb.name] = holder["params"]
 
             for clf in cfg.classifiers:
                 cell_seed = derive_seed(cfg.seed, ds.name, emb.name, clf.name)
-                cell = _run_cell(clf, holder["Xtr"], ytr, Xval, yval,
+                cell = _run_cell(ds.name, emb.name, clf, holder["Xtr"], ytr, Xval, yval,
                                  holder["Xte"], yte, cell_seed)
-                cell.dataset = ds.name
-                cell.embedding = emb.name
-                cell.classifier = clf.name
                 cells.append(cell)
                 timings.append((ds.name, emb.name, clf.name,
                                 cell.fit_seconds, train_s, infer_s))
@@ -731,19 +660,10 @@ def dump_embeddings(cfg: BenchConfig, dataset_name: str, embedding_name: str,
     if emb is None:
         raise ConfigError(f"no embedding named {embedding_name!r} in config")
 
-    train_ds, val_ds, test_ds = _load_splits(ds, cfg.seed)
-    train_w = segment_dataset(train_ds, ds.tau, ds.omega)
-    other_w = (segment_dataset(val_ds, ds.tau, ds.omega)
-               + segment_dataset(test_ds, ds.tau, ds.omega))
-    if not train_w:
-        raise ConfigError(f"dataset {ds.name!r}: no training windows after segmentation")
-    norm = fit_normalizer(train_w, ds.normalization)
-    train_w = apply_normalizer_all(norm, train_w)
-    other_w = apply_normalizer_all(norm, other_w)
-
+    train_w, val_w, test_w = _prepare(ds, cfg.seed)
     embedder = make_embedder(emb)
     embedder.fit(train_w, derive_seed(cfg.seed, ds.name, emb.name))
-    windows = train_w + other_w
+    windows = train_w + val_w + test_w
     X = embedder.transform(windows)
 
     out_dir = output_dir or cfg.output_dir

@@ -466,35 +466,45 @@ def fit(kind: str, data: LabeledMatrix, params: dict | None = None):
     """Fit a classifier by kind; unknown kinds or parameters raise ConfigError."""
     if kind not in _FITTERS:
         raise ConfigError(f"unknown classifier kind {kind!r}")
-    merged = dict(_DEFAULTS[kind])
-    for key, value in (params or {}).items():
+    return _FITTERS[kind](data, **check_params(f"classifier {kind!r}", _DEFAULTS[kind],
+                                               params or {}))
+
+
+def check_params(where: str, defaults: dict, params: dict) -> dict:
+    """defaults updated by params, each value checked against its default's type.
+
+    A default of None leaves the value to the caller (forest max_features,
+    wavelet scales). bench checks embedding params with this too.
+    """
+    merged = dict(defaults)
+    for key, value in params.items():
         if key not in merged:
-            raise ConfigError(f"unknown parameter {key!r} for classifier {kind!r}")
-        _check_param_type(kind, key, value, merged[key])
+            raise ConfigError(f"{where}: unknown parameter {key!r}")
+        if merged[key] is not None:
+            value = check_value(value, type(merged[key]), f"{where}: parameter {key!r}")
         merged[key] = value
-    return _FITTERS[kind](data, **merged)
+    return merged
 
 
-def _check_param_type(kind: str, key: str, value, default) -> None:
-    """A value must have its default's type; an int also serves a float param.
+def check_value(value, kind: type, what: str):
+    """value as a Python kind (bool, int or float), or ConfigError.
 
-    bool is never taken for a number, a float param must be finite (a NaN or
-    infinite logreg step never shrinks below its floor, so the fit would not
-    end), and max_features (default None) is checked by fit_forest.
+    An int also serves a float, bool is never taken for a number, and a float
+    must be finite (a NaN or infinite logreg step never shrinks below its
+    floor, so the fit would not end). Returning Python types lets numpy
+    scalars serialise to JSON.
     """
     is_int = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if isinstance(default, bool):
+    if kind is bool:
         ok, want = isinstance(value, bool), "a boolean"
-    elif isinstance(default, int):
+    elif kind is int:
         ok, want = is_int, "an integer"
-    elif isinstance(default, float):
+    else:
         ok = is_int or (isinstance(value, (float, np.floating)) and math.isfinite(value))
         want = "a finite number"
-    else:
-        return
     if not ok:
-        raise ConfigError(f"classifier {kind!r}: parameter {key!r} must be {want}, "
-                          f"got {value!r}")
+        raise ConfigError(f"{what} must be {want}, got {value!r}")
+    return kind(value)
 
 
 _PREDICTORS = {

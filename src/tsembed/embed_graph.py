@@ -197,11 +197,3 @@ def graph_embed(window: Window) -> np.ndarray:
     values = window.values
     parts = [graph_features(nvg_build(values[:, c])) for c in range(values.shape[1])]
     return np.concatenate(parts)
-
-
-def write_edgelist(g: VisibilityGraph, path: str) -> None:
-    """Debug dump: one ``i,j,weight`` row per edge."""
-    with open(path, "w") as fh:
-        fh.write("i,j,weight\n")
-        for i, j, w in g.edges:
-            fh.write(f"{i},{j},{float(w)!r}\n")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .preprocess import Window
+from .preprocess import Window, flatten_windows
 from .rng import Xoshiro256StarStar
 
 ADAM_STEP = 1e-3
@@ -169,12 +169,6 @@ class AutoencoderModel:
     loss_log: list[float]
 
 
-def _windows_matrix(windows: list[Window]) -> np.ndarray:
-    if not windows:
-        raise ShapeError("need at least one window")
-    return np.stack([w.values.T.reshape(-1) for w in windows])
-
-
 def _full_loss(model: AutoencoderModel, X: np.ndarray) -> float:
     h, _ = net_forward(model.encoder_spec, model.encoder, X)
     recon, _ = net_forward(model.decoder_spec, model.decoder, h)
@@ -185,7 +179,7 @@ def _full_loss(model: AutoencoderModel, X: np.ndarray) -> float:
 def ae_train(windows: list[Window], d: int, epochs: int = 100, batch: int = 64,
              seed: int = 0) -> AutoencoderModel:
     """Train the autoencoder on flattened windows (channel-major layout)."""
-    X = _windows_matrix(windows)
+    X = flatten_windows(windows)
     n, n_features = X.shape
     if not 1 <= d < n_features:
         raise ConfigError(
@@ -224,13 +218,13 @@ def ae_train(windows: list[Window], d: int, epochs: int = 100, batch: int = 64,
 
 def ae_embed(model: AutoencoderModel, windows: list[Window]) -> np.ndarray:
     """Bottleneck activations for a batch of windows."""
-    X = _windows_matrix(windows)
+    X = flatten_windows(windows)
     h, _ = net_forward(model.encoder_spec, model.encoder, X)
     return h
 
 
 def ae_reconstruct(model: AutoencoderModel, windows: list[Window]) -> np.ndarray:
-    X = _windows_matrix(windows)
+    X = flatten_windows(windows)
     h, _ = net_forward(model.encoder_spec, model.encoder, X)
     recon, _ = net_forward(model.decoder_spec, model.decoder, h)
     return recon

@@ -329,11 +329,3 @@ def tda_embed(window: Window, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
 
 def tda_dim(n_channels: int, grid_size: int = DEFAULT_GRID_SIZE) -> int:
     return n_channels * (9 + grid_size + 7)
-
-
-def write_diagram(dgm: PersistenceDiagram, path: str) -> None:
-    """Debug dump: one ``birth,death,essential`` row per pair."""
-    with open(path, "w") as fh:
-        fh.write("birth,death,essential\n")
-        for b, d, e in zip(dgm.births, dgm.deaths, dgm.essential):
-            fh.write(f"{float(b)!r},{float(d)!r},{int(e)}\n")

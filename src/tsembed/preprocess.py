@@ -106,3 +106,10 @@ def apply_normalizer(norm: Normalizer, window: Window) -> Window:
 
 def apply_normalizer_all(norm: Normalizer, windows: list[Window]) -> list[Window]:
     return [apply_normalizer(norm, w) for w in windows]
+
+
+def flatten_windows(windows: list[Window]) -> np.ndarray:
+    """One row per window: its (tau, C) values flattened channel-major."""
+    if not windows:
+        raise ShapeError("need at least one window")
+    return np.stack([w.values.T.reshape(-1) for w in windows])

@@ -232,6 +232,30 @@ def test_parse_config_grid_entries_must_be_nonempty_lists(tones_csv, tmp_path):
         parse_config(obj)
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda o: o.update(datasets=[5]),
+    lambda o: o.update(datasets=5),
+    lambda o: o.update(output_dir=3),
+    lambda o: o["datasets"][0].update(name=["x"]),
+    lambda o: o["datasets"][0].update(name=3),
+    lambda o: o["datasets"][0].update(path=3),
+    lambda o: o["embeddings"][1].update(params=[1, 2]),
+    lambda o: o["embeddings"][1].update(params="ab"),
+    lambda o: o["embeddings"][1].update(name=3),
+    lambda o: o["embeddings"].__setitem__(0, "fft"),
+    lambda o: o["classifiers"][0].update(grid="x"),
+    lambda o: o["classifiers"][0].update(params=[("k", 1)]),
+    lambda o: o["classifiers"][1].update(name=["gnb"]),
+], ids=["dataset-entry", "datasets", "output_dir", "list-name", "int-name", "path",
+        "list-params", "str-params", "embedding-name", "embedding-entry", "grid",
+        "classifier-params", "classifier-name"])
+def test_parse_config_rejects_wrongly_typed_json(tones_csv, tmp_path, mutate):
+    obj = base_config(tones_csv, tmp_path / "out")
+    mutate(obj)
+    with pytest.raises(ConfigError, match="must be"):
+        parse_config(obj)
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
@@ -336,6 +360,41 @@ def test_make_embedder_rejects_badly_typed_params(method, params):
         make_embedder(EmbeddingCfg(method=method, name=method, params=params))
 
 
+@pytest.mark.parametrize("method, params, effective", [
+    ("fft", {}, {}),
+    ("graph", {}, {}),
+    ("tda", {}, {"grid_size": 8}),
+    ("tda", {"grid_size": np.int64(5)}, {"grid_size": 5}),
+    # default scales are dyadic up to tau/2 = 8
+    ("wavelet", {}, {"scales": [2.0, 4.0, 8.0], "omega0": 6.0}),
+    ("wavelet", {"scales": [np.int64(3), 1.5], "omega0": np.float32(5.5)},
+     {"scales": [3.0, 1.5], "omega0": 5.5}),
+    # 6 windows leave at most 5 principal components
+    ("pca", {"d": np.int64(99)}, {"d": 5}),
+    ("pca", {"d": 2}, {"d": 2}),
+    # K is capped at n - 2 = 4, and d at K
+    ("lle", {"K": np.int64(20), "d": 16, "reg": np.float32(0.125)},
+     {"K": 4, "d": 4, "reg": 0.125}),
+    ("lle", {"K": 3, "d": 2, "reg": 1}, {"K": 3, "d": 2, "reg": 1.0}),
+    # the bottleneck stays below the flattened width 16
+    ("ae", {"d": np.int64(99), "epochs": np.int64(1), "batch": 4},
+     {"d": 15, "epochs": 1, "batch": 4}),
+])
+def test_make_embedder_fit_returns_effective_params(make_window, method, params,
+                                                    effective):
+    rng = np.random.default_rng(3)
+    windows = [make_window(rng.normal(size=16), label=i % 2, start=i) for i in range(6)]
+    got = make_embedder(EmbeddingCfg(method=method, name=method, params=params)).fit(
+        windows, 1)
+    assert got == effective
+
+    # numpy scalars come back as Python int and float, so manifest.json can hold them
+    def types(d):
+        return {k: [type(x) for x in v] if isinstance(v, list) else type(v)
+                for k, v in d.items()}
+    assert types(got) == types(effective)
+
+
 def test_import_bench_leaves_matcher_unloaded():
     src = str(Path(tsembed.__file__).resolve().parents[1])
     code = "import sys, tsembed.bench; print('scipy.optimize' in sys.modules)"
@@ -359,8 +418,8 @@ def test_run_cell_selects_better_combo():
     # depth-1 stumps cannot express the checkerboard; depth 12 can
     Xtr = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 3)
     ytr = np.array([0, 1, 1, 0] * 3, dtype=np.int64)
-    cell = _run_cell(ClassifierCfg(kind="tree", name="tree",
-                                   grid={"max_depth": [1, 12]}),
+    cell = _run_cell("d", "e", ClassifierCfg(kind="tree", name="tree",
+                                             grid={"max_depth": [1, 12]}),
                      Xtr, ytr, Xtr, ytr, Xtr, ytr, cell_seed=1)
     assert cell.status == "ok"
     assert cell.selected_params["max_depth"] == 12
@@ -373,7 +432,7 @@ def test_run_cell_val_tie_prefers_earlier_combo():
     ytr = np.array([0, 0, 1, 1], dtype=np.int64)
     Xval = np.array([[0.05], [5.05]])
     yval = np.array([0, 1], dtype=np.int64)
-    cell = _run_cell(ClassifierCfg(kind="knn", name="knn", grid={"k": [1, 3]}),
+    cell = _run_cell("d", "e", ClassifierCfg(kind="knn", name="knn", grid={"k": [1, 3]}),
                      Xtr, ytr, Xval, yval, Xval, yval, cell_seed=1)
     assert cell.status == "ok"
     assert cell.selected_params == {"k": 1}
@@ -383,7 +442,7 @@ def test_run_cell_reports_error_status():
     from tsembed.bench import ClassifierCfg
     Xtr = np.array([[0.0], [1.0]])
     ytr = np.array([0, 1], dtype=np.int64)
-    cell = _run_cell(ClassifierCfg(kind="knn", name="knn", params={"k": 99}),
+    cell = _run_cell("d", "e", ClassifierCfg(kind="knn", name="knn", params={"k": 99}),
                      Xtr, ytr, Xtr, ytr, Xtr, ytr, cell_seed=1)
     assert cell.status == "error:ConfigError"
     assert cell.accuracy is None

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tsembed import embed_graph
 from tsembed.embed_graph import (GRAPH_FEATURE_COUNT, VisibilityGraph,
                                  graph_embed, graph_features, hvg_build,
-                                 nvg_build, write_edgelist)
+                                 nvg_build)
 from tsembed.errors import DataError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -438,13 +438,3 @@ def test_graph_embed_channel_major(make_window):
     v = graph_embed(w)
     assert v[:7].tobytes() == graph_features(nvg_build(a)).tobytes()
     assert v[7:].tobytes() == graph_features(nvg_build(b)).tobytes()
-
-
-def test_write_edgelist(tmp_path, make_window):
-    g = nvg_build(np.array([0.0, 3.0, 1.0]))
-    path = tmp_path / "g.csv"
-    write_edgelist(g, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i,j,weight"
-    assert lines[1].startswith("0,1,")
-    assert float(lines[1].split(",")[2]) == 3.0

@@ -11,7 +11,7 @@ from tsembed.embed_tda import (DEFAULT_GRID_SIZE, PersistenceDiagram,
                                betti_curve, bottleneck, landscape_norm,
                                landscape_norms, persistence_entropy,
                                sublevel_persistence, tda_dim, tda_embed,
-                               wasserstein, write_diagram)
+                               wasserstein)
 from tsembed.errors import CapacityError, ConfigError, DataError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -460,13 +460,3 @@ def test_tda_embed_grid_size_validation(make_window):
     w = make_window(np.arange(8.0))
     with pytest.raises(ConfigError):
         tda_embed(w, grid_size=1)
-
-
-def test_write_diagram(tmp_path):
-    dgm = sublevel_persistence(np.array([3.0, 1.0, 2.0, 0.0]))
-    path = tmp_path / "d.csv"
-    write_diagram(dgm, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "birth,death,essential"
-    assert lines[1] == "1.0,2.0,0"
-    assert lines[2] == "0.0,3.0,1"
