@@ -33,21 +33,22 @@ records the parsed config and the effective per-method parameters.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classify
-from .data_io import TimeSeriesDataset, load_dataset, split_by_group
+from .data_io import TimeSeriesDataset, load_dataset, open_text, split_by_group
 from .embed_graph import graph_embed
 from .embed_neural import ae_embed, ae_train
 from .embed_spectral import CwtConfig, default_scales, fft_embed, wavelet_embed
 from .embed_subspace import lle_fit, lle_transform, pca_fit, pca_transform
 from .embed_tda import DEFAULT_GRID_SIZE, tda_embed
 from .errors import ConfigError, DataError, ParseError, TsembedError
-from .preprocess import (Window, apply_normalizer_all, fit_normalizer, flatten_windows,
-                         segment_dataset)
+from .preprocess import (WindowBatch, apply_normalizer_all, concat_windows, fit_normalizer,
+                         flatten_windows, segment_dataset)
 from .rng import Xoshiro256StarStar, derive_seed
 
 DEFAULT_RATIOS = (0.7, 0.15, 0.15)
@@ -216,7 +217,7 @@ def parse_config(obj: dict) -> BenchConfig:
 
 def load_config(path: str) -> BenchConfig:
     try:
-        with open(path) as fh:
+        with open_text(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON ({e})") from None
@@ -227,23 +228,23 @@ def load_config(path: str) -> BenchConfig:
 
 # ---------------------------------------------------------------- embedders
 
-def _no_fit(windows: list[Window], params: dict, seed: int):
+def _no_fit(windows: WindowBatch, params: dict, seed: int):
     return None, {}
 
 
-def _fit_tda(windows: list[Window], params: dict, seed: int):
+def _fit_tda(windows: WindowBatch, params: dict, seed: int):
     return params["grid_size"], dict(params)
 
 
-def _fit_wavelet(windows: list[Window], params: dict, seed: int):
+def _fit_wavelet(windows: WindowBatch, params: dict, seed: int):
     scales = params["scales"]
     if scales is None:
-        scales = tuple(float(a) for a in default_scales(windows[0].values.shape[0]))
+        scales = tuple(float(a) for a in default_scales(windows.values.shape[1]))
     return (CwtConfig(scales, params["omega0"]),
             {"scales": list(scales), "omega0": params["omega0"]})
 
 
-def _fit_pca(windows: list[Window], params: dict, seed: int):
+def _fit_pca(windows: WindowBatch, params: dict, seed: int):
     X = flatten_windows(windows)
     d = min(params["d"], X.shape[0] - 1, X.shape[1])
     if d < 1:
@@ -251,7 +252,7 @@ def _fit_pca(windows: list[Window], params: dict, seed: int):
     return pca_fit(X, d), {"d": d}
 
 
-def _fit_lle(windows: list[Window], params: dict, seed: int):
+def _fit_lle(windows: WindowBatch, params: dict, seed: int):
     X = flatten_windows(windows)
     K = min(params["K"], X.shape[0] - 2)
     d = min(params["d"], K)
@@ -260,28 +261,28 @@ def _fit_lle(windows: list[Window], params: dict, seed: int):
     return lle_fit(X, K, d, params["reg"]), {"d": d, "K": K, "reg": params["reg"]}
 
 
-def _fit_ae(windows: list[Window], params: dict, seed: int):
-    d = min(params["d"], windows[0].values.size - 1)
+def _fit_ae(windows: WindowBatch, params: dict, seed: int):
+    d = min(params["d"], windows.values[0].size - 1)
     model = ae_train(windows, d, params["epochs"], params["batch"], seed)
     return model, dict(params, d=d)
 
 
 def _each_window(embed_one):
-    """transform for a per-window function of (window, fitted state)."""
-    return lambda state, windows: np.stack([embed_one(w, state) for w in windows])
+    """transform for a per-window function of ((tau, C) values, fitted state)."""
+    return lambda state, windows: np.stack([embed_one(v, state) for v in windows.values])
 
 
 # method -> (param defaults, fit(train_windows, params, seed) -> (state,
 # effective params), transform(state, windows) -> (n, width) matrix)
 _EMBEDDERS = {
-    "fft": ({}, _no_fit, _each_window(lambda w, _: fft_embed(w))),
+    "fft": ({}, _no_fit, lambda _, windows: fft_embed(windows.values)),
     "wavelet": ({"scales": None, "omega0": 6.0}, _fit_wavelet,
                 _each_window(wavelet_embed)),
     "pca": ({"d": DEFAULT_EMBED_DIM}, _fit_pca,
             lambda model, windows: pca_transform(model, flatten_windows(windows))),
     "lle": ({"d": DEFAULT_EMBED_DIM, "K": 20, "reg": 1e-3}, _fit_lle,
             lambda model, windows: lle_transform(model, flatten_windows(windows))),
-    "graph": ({}, _no_fit, _each_window(lambda w, _: graph_embed(w))),
+    "graph": ({}, _no_fit, _each_window(lambda v, _: graph_embed(v))),
     "tda": ({"grid_size": DEFAULT_GRID_SIZE}, _fit_tda, _each_window(tda_embed)),
     "ae": ({"d": DEFAULT_EMBED_DIM, "epochs": 100, "batch": 64}, _fit_ae, ae_embed),
 }
@@ -296,12 +297,12 @@ class Embedder:
         self.params = params
         self.state = None
 
-    def fit(self, windows: list[Window], seed: int) -> dict:
+    def fit(self, windows: WindowBatch, seed: int) -> dict:
         """Fit on train windows; return the effective params."""
         self.state, effective = self._fit(windows, self.params, seed)
         return effective
 
-    def transform(self, windows: list[Window]) -> np.ndarray:
+    def transform(self, windows: WindowBatch) -> np.ndarray:
         return self._transform(self.state, windows)
 
 
@@ -350,7 +351,7 @@ def average_rank(accuracies: np.ndarray, ties: str = "first") -> np.ndarray:
 def read_accuracy_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     """Read a dataset-by-method accuracy table: header ``dataset,<m1>,...``."""
     import csv as _csv
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = _csv.reader(fh)
         header = next(reader, None)
         if not header or len(header) < 2 or header[0] != "dataset":
@@ -435,7 +436,7 @@ def _load_splits(ds: DatasetCfg, master_seed: int):
         raise ConfigError(f"dataset {ds.name!r}: {e}") from None
 
 
-def _prepare(ds: DatasetCfg, master_seed: int) -> list[list[Window]]:
+def _prepare(ds: DatasetCfg, master_seed: int) -> list[WindowBatch]:
     """Train, val and test windows, normalized with statistics of train."""
     splits = [segment_dataset(part, ds.tau, ds.omega)
               for part in _load_splits(ds, master_seed)]
@@ -532,9 +533,7 @@ def run_grid(cfg: BenchConfig) -> EvaluationReport:
         train_w, val_w, test_w = _prepare(ds, cfg.seed)
         if not test_w:
             raise ConfigError(f"dataset {ds.name!r}: no test windows after segmentation")
-        ytr = np.array([w.label for w in train_w], dtype=np.int64)
-        yval = np.array([w.label for w in val_w], dtype=np.int64)
-        yte = np.array([w.label for w in test_w], dtype=np.int64)
+        ytr, yval, yte = train_w.labels, val_w.labels, test_w.labels
         effective[ds.name] = {}
 
         for emb in cfg.embeddings:
@@ -594,40 +593,51 @@ def run_grid(cfg: BenchConfig) -> EvaluationReport:
 
 # ---------------------------------------------------------------- reports
 
-def emit_reports(report: EvaluationReport, output_dir: str) -> list[str]:
-    """Write cells/summary/ranks/timings CSVs and manifest.json; return paths."""
-    import os
-    os.makedirs(output_dir, exist_ok=True)
-    paths = []
+def make_output_dir(path: str) -> None:
+    """Create the output directory if it is missing; ConfigError if it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output_dir {path!r}: {e}") from None
 
-    def write(name: str, lines: list[str]) -> None:
-        path = os.path.join(output_dir, name)
+
+def _write_lines(out_dir: str, name: str, lines: list[str]) -> str:
+    """Write LF-terminated lines to out_dir/name; a failed write is a ConfigError."""
+    path = os.path.join(out_dir, name)
+    try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
-        paths.append(path)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
+    return path
 
+
+def emit_reports(report: EvaluationReport, output_dir: str) -> list[str]:
+    """Write cells/summary/ranks/timings CSVs and manifest.json; return paths."""
+    make_output_dir(output_dir)
+    paths = []
     lines = ["dataset,embedding,classifier,accuracy,status"]
     for c in report.cells:
         acc = fmt(c.accuracy) if c.accuracy is not None else ""
         lines.append(f"{c.dataset},{c.embedding},{c.classifier},{acc},{c.status}")
-    write("cells.csv", lines)
+    paths.append(_write_lines(output_dir, "cells.csv", lines))
 
     lines = ["dataset,embedding,mean_accuracy,std_accuracy"]
     for ds_name, emb_name, mean, std in report.summary:
         lines.append(f"{ds_name},{emb_name},{fmt(mean)},{fmt(std)}")
-    write("summary.csv", lines)
+    paths.append(_write_lines(output_dir, "summary.csv", lines))
 
     lines = ["embedding,avg_rank"]
     for name, rank in report.avg_ranks:
         lines.append(f"{name},{fmt(rank)}")
-    write("ranks.csv", lines)
+    paths.append(_write_lines(output_dir, "ranks.csv", lines))
 
     lines = ["dataset,embedding,classifier,classifier_fit_seconds,"
              "embed_train_seconds,embed_infer_seconds"]
     for ds_name, emb_name, clf_name, clf_s, train_s, infer_s in report.timings:
         lines.append(f"{ds_name},{emb_name},{clf_name},{fmt(clf_s)},"
                      f"{fmt(train_s)},{fmt(infer_s)}")
-    write("timings.csv", lines)
+    paths.append(_write_lines(output_dir, "timings.csv", lines))
 
     manifest = {
         "seed": report.config.seed,
@@ -641,38 +651,31 @@ def emit_reports(report: EvaluationReport, output_dir: str) -> list[str]:
             f"{c.dataset}/{c.embedding}/{c.classifier}": c.selected_params
             for c in report.cells if c.status == "ok"},
     }
-    path = os.path.join(output_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths.append(path)
+    paths.append(_write_lines(output_dir, "manifest.json",
+                              [json.dumps(manifest, indent=2, sort_keys=True)]))
     return paths
 
 
 def dump_embeddings(cfg: BenchConfig, dataset_name: str, embedding_name: str,
                     output_dir: str | None = None) -> str:
     """Write embeddings_<method>_<dataset>.csv (id,label,v0..) for all splits."""
-    import os
     ds = next((d for d in cfg.datasets if d.name == dataset_name), None)
     if ds is None:
         raise ConfigError(f"no dataset named {dataset_name!r} in config")
     emb = next((e for e in cfg.embeddings if e.name == embedding_name), None)
     if emb is None:
         raise ConfigError(f"no embedding named {embedding_name!r} in config")
+    out_dir = output_dir or cfg.output_dir
+    make_output_dir(out_dir)
 
     train_w, val_w, test_w = _prepare(ds, cfg.seed)
     embedder = make_embedder(emb)
     embedder.fit(train_w, derive_seed(cfg.seed, ds.name, emb.name))
-    windows = train_w + val_w + test_w
+    windows = concat_windows([train_w, val_w, test_w])
     X = embedder.transform(windows)
 
-    out_dir = output_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"embeddings_{emb.name}_{ds.name}.csv")
-    with open(path, "w", newline="") as fh:
-        header = ["id", "label"] + [f"v{i}" for i in range(X.shape[1])]
-        fh.write(",".join(header) + "\n")
-        for w, row in zip(windows, X):
-            cells_txt = ",".join(fmt(v) for v in row)
-            fh.write(f"{w.source_id}:{w.start},{w.label},{cells_txt}\n")
-    return path
+    lines = [",".join(["id", "label"] + [f"v{i}" for i in range(X.shape[1])])]
+    lines += [f"{source_id}:{start},{label}," + ",".join(fmt(v) for v in row)
+              for source_id, start, label, row in zip(
+                  windows.source_ids, windows.starts.tolist(), windows.labels.tolist(), X)]
+    return _write_lines(out_dir, f"embeddings_{emb.name}_{ds.name}.csv", lines)

@@ -6,8 +6,8 @@ import sys
 
 import click
 
-from .bench import (average_rank, dump_embeddings, emit_reports, fmt,
-                    load_config, read_accuracy_csv, run_grid)
+from .bench import (average_rank, dump_embeddings, emit_reports, fmt, load_config,
+                    make_output_dir, read_accuracy_csv, run_grid)
 from .data_io import save_wide_csv
 from .errors import TsembedError
 from .synthgen import SYNTH_KINDS, SynthSpec, generate
@@ -26,6 +26,7 @@ def run(config_path: str) -> None:
     """Run the full evaluation grid and write report CSVs."""
     try:
         cfg = load_config(config_path)
+        make_output_dir(cfg.output_dir)  # fail before the grid, not after it
         report = run_grid(cfg)
         paths = emit_reports(report, cfg.output_dir)
     except TsembedError as e:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,16 @@ class _LabelAlphabet:
         return self._index[token]
 
 
+@contextmanager
+def open_text(path: str):
+    """Open a UTF-8 text file to read; undecodable bytes raise ParseError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 ({e.reason})") from None
+
+
 def _parse_float(text: str, line_no: int) -> float:
     try:
         value = float(text)
@@ -106,7 +117,7 @@ def load_long_csv(path: str) -> TimeSeriesDataset:
     # series_id -> (group, {(channel, t): value}, {t: label_id})
     acc: dict[str, tuple[str, dict, dict]] = {}
     order: list[str] = []
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["series_id", "group", "channel", "t", "value", "label"]:
@@ -170,7 +181,7 @@ def load_long_csv(path: str) -> TimeSeriesDataset:
 def load_wide_csv(path: str, channels: int | None = None) -> TimeSeriesDataset:
     """Load the wide layout. Channel count comes from the ``# channels=C``
     comment or the ``channels`` argument; the argument wins if both exist."""
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         first = fh.readline()
         line_no = 1
         file_channels = None

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .preprocess import Window
 
 # largest number of array elements a block of NVG rows or of triad counts uses
 _BLOCK_ELEMENTS = 1 << 16
@@ -189,11 +188,8 @@ def graph_features(g: VisibilityGraph) -> np.ndarray:
                      transitivity, assortativity, mean_weight])
 
 
-GRAPH_FEATURE_COUNT = 7
-
-
-def graph_embed(window: Window) -> np.ndarray:
-    """NVG features per channel, channel-major concatenation (7 per channel)."""
-    values = window.values
+def graph_embed(values: np.ndarray) -> np.ndarray:
+    """NVG features per channel of a (tau, C) window, channel-major
+    concatenation (7 per channel)."""
     parts = [graph_features(nvg_build(values[:, c])) for c in range(values.shape[1])]
     return np.concatenate(parts)

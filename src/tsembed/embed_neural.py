@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .preprocess import Window, flatten_windows
+from .preprocess import WindowBatch, flatten_windows
 from .rng import Xoshiro256StarStar
 
 ADAM_STEP = 1e-3
@@ -176,7 +176,7 @@ def _full_loss(model: AutoencoderModel, X: np.ndarray) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
-def ae_train(windows: list[Window], d: int, epochs: int = 100, batch: int = 64,
+def ae_train(windows: WindowBatch, d: int, epochs: int = 100, batch: int = 64,
              seed: int = 0) -> AutoencoderModel:
     """Train the autoencoder on flattened windows (channel-major layout)."""
     X = flatten_windows(windows)
@@ -216,17 +216,15 @@ def ae_train(windows: list[Window], d: int, epochs: int = 100, batch: int = 64,
     return model
 
 
-def ae_embed(model: AutoencoderModel, windows: list[Window]) -> np.ndarray:
+def ae_embed(model: AutoencoderModel, windows: WindowBatch) -> np.ndarray:
     """Bottleneck activations for a batch of windows."""
     X = flatten_windows(windows)
     h, _ = net_forward(model.encoder_spec, model.encoder, X)
     return h
 
 
-def ae_reconstruct(model: AutoencoderModel, windows: list[Window]) -> np.ndarray:
-    X = flatten_windows(windows)
-    h, _ = net_forward(model.encoder_spec, model.encoder, X)
-    recon, _ = net_forward(model.decoder_spec, model.decoder, h)
+def ae_reconstruct(model: AutoencoderModel, windows: WindowBatch) -> np.ndarray:
+    recon, _ = net_forward(model.decoder_spec, model.decoder, ae_embed(model, windows))
     return recon
 
 

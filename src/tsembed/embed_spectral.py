@@ -2,7 +2,8 @@
 
 fft_embed keeps the magnitudes of the non-redundant half spectrum per channel
 (bins k = 0..floor(tau/2)), so a window of C channels maps to a vector of
-C * (floor(tau/2) + 1) features.
+C * (floor(tau/2) + 1) features. It takes one (tau, C) window or a stack of
+them through one np.fft.fft call; np.fft.rfft would drift in the last bits.
 
 The continuous wavelet transform uses the complex Morlet mother wavelet
 
@@ -26,26 +27,20 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numcore import dft
-from .preprocess import Window
 
 MORLET_OMEGA0 = 6.0
 
 
-def fft_embed(window: Window) -> np.ndarray:
-    """Half-spectrum magnitudes, channel-major concatenation."""
-    values = window.values
-    tau = values.shape[0]
-    keep = tau // 2 + 1
-    parts = []
-    for c in range(values.shape[1]):
-        spectrum = dft(values[:, c])
-        parts.append(np.abs(spectrum.coeffs[:keep]))
-    return np.concatenate(parts)
+def fft_embed(values: np.ndarray) -> np.ndarray:
+    """Half-spectrum magnitudes, channel-major concatenation.
 
-
-def fft_dim(tau: int, n_channels: int) -> int:
-    return n_channels * (tau // 2 + 1)
+    values is one (tau, C) window or an (n, tau, C) stack; the result is a
+    vector, or one row per window.
+    """
+    values = np.asarray(values)
+    tau = values.shape[-2]
+    mags = np.abs(np.fft.fft(values, axis=-2)[..., :tau // 2 + 1, :])
+    return np.swapaxes(mags, -1, -2).reshape(*values.shape[:-2], -1)
 
 
 def default_scales(tau: int) -> tuple[float, ...]:
@@ -94,9 +89,9 @@ def cwt(x: np.ndarray, cfg: CwtConfig) -> np.ndarray:
     return np.stack(rows)
 
 
-def wavelet_embed(window: Window, cfg: CwtConfig | None = None) -> np.ndarray:
-    """Per-channel, per-scale log energies, channel-major then scale order."""
-    values = window.values
+def wavelet_embed(values: np.ndarray, cfg: CwtConfig | None = None) -> np.ndarray:
+    """Per-channel, per-scale log energies of a (tau, C) window, channel-major
+    then scale order."""
     tau = values.shape[0]
     if cfg is None:
         scales = default_scales(tau)

@@ -34,7 +34,6 @@ import numpy as np
 
 from .embed_graph import graph_features, hvg_build
 from .errors import CapacityError, ConfigError, DataError, ShapeError
-from .preprocess import Window
 
 WASSERSTEIN_MAX_POINTS = 64
 DEFAULT_GRID_SIZE = 8
@@ -294,11 +293,11 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     return float(levels[hi])
 
 
-def tda_embed(window: Window, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Per-channel persistence + HVG feature vector of length 9 + grid_size + 7."""
+def tda_embed(values: np.ndarray, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """Per-channel persistence + HVG feature vector of length 9 + grid_size + 7
+    for a (tau, C) window."""
     if grid_size < 2:
         raise ConfigError(f"grid_size must be >= 2, got {grid_size}")
-    values = window.values
     parts = []
     for c in range(values.shape[1]):
         x = values[:, c]
@@ -325,7 +324,3 @@ def tda_embed(window: Window, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
         hvg = graph_features(hvg_build(x))
         parts.append(np.concatenate([scalars_front, betti, scalars_back, hvg]))
     return np.concatenate(parts)
-
-
-def tda_dim(n_channels: int, grid_size: int = DEFAULT_GRID_SIZE) -> int:
-    return n_channels * (9 + grid_size + 7)

@@ -1,7 +1,7 @@
-"""Shared numerical kernels: eigendecomposition, linear solves, neighbours, DFT.
+"""Shared numerical kernels: eigendecomposition, linear solves, neighbours.
 
-The eigendecomposition and DFT delegate to numpy's LAPACK/FFT bindings and
-add the contractual ordering and sign conventions on top. The linear solver
+The eigendecomposition delegates to numpy's LAPACK binding and adds the
+contractual ordering and sign conventions on top. The linear solver
 is a plain LU factorization with partial pivoting so failures can report the
 exact pivot that collapsed, which library solvers do not surface;
 linear_solve_batched runs a stack of such systems with the same float
@@ -40,13 +40,6 @@ class EigenResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectrumCoeffs:
-    """Complex DFT coefficients, index k = 0..N-1."""
-
-    coeffs: np.ndarray
 
 
 def symmetric_eig(A: np.ndarray) -> EigenResult:
@@ -250,15 +243,3 @@ def nearest_neighbors(queries: np.ndarray, train: np.ndarray,
         dist[lo:lo + step] = exact[pick]
     return index, dist
 
-
-def dft(x: np.ndarray) -> SpectrumCoeffs:
-    """Forward DFT, X_k = sum_n x_n exp(-2*pi*i*k*n/N)."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ShapeError(f"expected a nonempty 1-D signal, got shape {x.shape}")
-    return SpectrumCoeffs(np.fft.fft(x))
-
-
-def idft(spectrum: SpectrumCoeffs) -> np.ndarray:
-    """Inverse DFT; reconstructs the signal the coefficients came from."""
-    return np.fft.ifft(spectrum.coeffs)

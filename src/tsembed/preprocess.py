@@ -6,6 +6,9 @@ floor((T-tau)/(tau-omega)) + 1 windows for T >= tau and none otherwise.
 A window's label is the mode of the timestep labels it covers, ties going to
 the smallest label id.
 
+Windows form one array batch (WindowBatch) in series order then start order;
+every step after segmentation works on the whole batch at once.
+
 Normalizers are fitted on training windows only and carry per-channel
 statistics. zscore uses the population standard deviation; minmax maps the
 training range to [0, 1] without clipping, so unseen values can fall outside.
@@ -14,22 +17,26 @@ Channels with zero spread use divisor 1 to stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import TimeSeriesDataset
+from .data_io import SeriesRecord, TimeSeriesDataset
 from .errors import ConfigError, ShapeError
 
 
 @dataclass(frozen=True)
-class Window:
-    """A segment of one series: values is (tau, C)."""
+class WindowBatch:
+    """n windows of one length: values is C-contiguous (n, tau, C); labels and
+    starts are (n,) int64; source_ids is (n,) object, the series of each."""
 
-    source_id: str
-    start: int
     values: np.ndarray
-    label: int
+    labels: np.ndarray
+    starts: np.ndarray
+    source_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -41,49 +48,66 @@ class Normalizer:
     scale: np.ndarray
 
 
-def aggregate_label(labels: np.ndarray) -> int:
-    """Mode of dense label ids; ties go to the smallest id."""
+def aggregate_label(labels: np.ndarray) -> np.ndarray | int:
+    """Mode of dense label ids along the last axis, an int for a 1-D run; ties
+    go to the smallest id."""
     labels = np.asarray(labels)
-    if labels.size == 0:
+    if labels.shape[-1] == 0:
         raise ShapeError("cannot aggregate an empty label run")
-    counts = np.bincount(labels)
-    return int(np.argmax(counts))
+    runs = np.sort(labels.reshape(-1, labels.shape[-1]), axis=1)
+    at = np.flatnonzero(np.diff(runs, axis=1, prepend=-1))  # ids are >= 0: rows start runs
+    # each run's length at its first position; runs ascend, so the first
+    # longest run of a row holds its smallest label of the largest count
+    length = np.zeros(runs.size, dtype=np.int64)
+    length[at] = np.diff(at, append=runs.size)
+    modes = runs[np.arange(len(runs)), length.reshape(runs.shape).argmax(axis=1)]
+    return modes.reshape(labels.shape[:-1]) if labels.ndim > 1 else int(modes[0])
 
 
 def segment(rec_values: np.ndarray, rec_labels: np.ndarray, source_id: str,
-            tau: int, omega: int) -> list[Window]:
+            tau: int, omega: int) -> WindowBatch:
     """Windows for one series; empty when the series is shorter than tau."""
+    record = SeriesRecord(source_id, "", rec_values, rec_labels)
+    return segment_dataset(TimeSeriesDataset([record], rec_values.shape[1]), tau, omega)
+
+
+def segment_dataset(ds: TimeSeriesDataset, tau: int, omega: int) -> WindowBatch:
+    """All windows of all series, series order then start order."""
     if tau < 1:
         raise ConfigError(f"window length tau must be >= 1, got {tau}")
     if omega < 0 or omega >= tau:
         raise ConfigError(f"overlap omega must satisfy 0 <= omega < tau, got {omega}")
-    T = rec_values.shape[0]
-    windows = []
     step = tau - omega
-    start = 0
-    while start + tau <= T:
-        values = rec_values[start:start + tau]
-        label = aggregate_label(rec_labels[start:start + tau])
-        windows.append(Window(source_id, start, values, label))
-        start += step
-    return windows
+    lengths = np.array([rec.values.shape[0] for rec in ds.series], dtype=np.int64)
+    counts = np.where(lengths >= tau, (lengths - tau) // step + 1, 0)
+    starts = (np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)) * step
+    begins = np.repeat(np.cumsum(lengths) - lengths, counts) + starts  # rows of the concatenation
+    rows = begins[:, None] + np.arange(tau)
+    # the empty leading parts give the batch its shape when there are no series
+    values = np.concatenate([np.empty((0, ds.n_channels))] + [r.values for r in ds.series])
+    labels = np.concatenate([np.empty(0, dtype=np.int64)] + [r.labels for r in ds.series])
+    # a window inside one run of equal labels takes it; only the rest are counted
+    cuts = np.flatnonzero(labels[1:] != labels[:-1]) + 1  # where a new label run starts
+    mixed = np.searchsorted(cuts, begins + tau - 1, "right") > np.searchsorted(cuts, begins, "right")
+    modes = labels[begins]
+    modes[mixed] = aggregate_label(labels[rows[mixed]])
+    ids = np.array([rec.series_id for rec in ds.series], dtype=object)
+    return WindowBatch(values.take(rows, axis=0), modes, starts, ids.repeat(counts))
 
 
-def segment_dataset(ds: TimeSeriesDataset, tau: int, omega: int) -> list[Window]:
-    """All windows of all series, series order then start order."""
-    out: list[Window] = []
-    for rec in ds.series:
-        out.extend(segment(rec.values, rec.labels, rec.series_id, tau, omega))
-    return out
+def concat_windows(batches: list[WindowBatch]) -> WindowBatch:
+    """One batch holding the windows of each batch in turn."""
+    return WindowBatch(*(np.concatenate([getattr(b, name) for b in batches])
+                         for name in ("values", "labels", "starts", "source_ids")))
 
 
-def fit_normalizer(windows: list[Window], kind: str) -> Normalizer:
+def fit_normalizer(windows: WindowBatch, kind: str) -> Normalizer:
     """Fit per-channel statistics over every sample of every window."""
     if kind not in ("zscore", "minmax"):
         raise ConfigError(f"unknown normalization kind {kind!r}")
-    if not windows:
+    if not len(windows):
         raise ShapeError("cannot fit a normalizer on zero windows")
-    stacked = np.concatenate([w.values for w in windows], axis=0)
+    stacked = windows.values.reshape(-1, windows.values.shape[2])
     if kind == "zscore":
         shift = stacked.mean(axis=0)
         scale = stacked.std(axis=0)  # population std
@@ -94,22 +118,17 @@ def fit_normalizer(windows: list[Window], kind: str) -> Normalizer:
     return Normalizer(kind, shift, scale)
 
 
-def apply_normalizer(norm: Normalizer, window: Window) -> Window:
-    """Return a new window with normalized values; input is untouched."""
-    if window.values.shape[1] != norm.shift.shape[0]:
+def apply_normalizer_all(norm: Normalizer, windows: WindowBatch) -> WindowBatch:
+    """A new batch with normalized values; the input is untouched."""
+    if windows.values.shape[2] != norm.shift.shape[0]:
         raise ShapeError(
-            f"window has {window.values.shape[1]} channels, normalizer has "
+            f"windows have {windows.values.shape[2]} channels, normalizer has "
             f"{norm.shift.shape[0]}")
-    values = (window.values - norm.shift) / norm.scale
-    return Window(window.source_id, window.start, values, window.label)
+    return replace(windows, values=(windows.values - norm.shift) / norm.scale)
 
 
-def apply_normalizer_all(norm: Normalizer, windows: list[Window]) -> list[Window]:
-    return [apply_normalizer(norm, w) for w in windows]
-
-
-def flatten_windows(windows: list[Window]) -> np.ndarray:
+def flatten_windows(windows: WindowBatch) -> np.ndarray:
     """One row per window: its (tau, C) values flattened channel-major."""
-    if not windows:
+    if not len(windows):
         raise ShapeError("need at least one window")
-    return np.stack([w.values.T.reshape(-1) for w in windows])
+    return windows.values.transpose(0, 2, 1).reshape(len(windows), -1)

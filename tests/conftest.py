@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from tsembed.preprocess import Window
-
 
 @pytest.fixture
 def make_window():
-    """Build a Window from a values array (1-D becomes a single channel)."""
+    """A (tau, C) window from a values array (1-D becomes a single channel)."""
 
-    def _make(values, label=0, source_id="s", start=0):
+    def _make(values):
         values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        return Window(source_id, start, values, label)
+        return values[:, None] if values.ndim == 1 else values
 
     return _make

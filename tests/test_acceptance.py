@@ -14,6 +14,7 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
+from batches import window_batch
 from tsembed import classify
 from tsembed.bench import EmbeddingCfg, average_rank, make_embedder, time_cell
 from tsembed.cli import main
@@ -23,9 +24,7 @@ from tsembed.embed_neural import NetworkSpec, init_network, net_backward, net_fo
 from tsembed.embed_spectral import fft_embed, wavelet_embed
 from tsembed.embed_subspace import lle_fit, pca_fit
 from tsembed.embed_tda import bottleneck, sublevel_persistence, wasserstein
-from tsembed.numcore import dft
-from tsembed.preprocess import (Window, apply_normalizer_all, fit_normalizer,
-                                segment, segment_dataset)
+from tsembed.preprocess import apply_normalizer_all, fit_normalizer, segment, segment_dataset
 from tsembed.rng import Xoshiro256StarStar, derive_seed
 from tsembed.synthgen import SynthSpec, generate
 
@@ -201,12 +200,12 @@ def test_oracle_equivalence():
         assert abs(wasserstein(d1, d2, p=2) - w2) <= 1e-9
         assert abs(bottleneck(d1, d2) - binf) <= 1e-9
 
-    # DFT vs the O(N^2) definition
+    # fft_embed vs the O(N^2) DFT definition's half-spectrum magnitudes
     for N in range(2, 65):
         x = np.array(rng.gauss_vector(N))
-        k = np.arange(N)
-        naive = np.exp(-2j * np.pi * np.outer(k, k) / N) @ x
-        np.testing.assert_allclose(dft(x).coeffs, naive, atol=1e-9)
+        k = np.arange(N // 2 + 1)
+        naive = np.abs(np.exp(-2j * np.pi * np.outer(k, np.arange(N)) / N) @ x)
+        np.testing.assert_allclose(fft_embed(x[:, None]), naive, atol=1e-9)
 
     assert time.perf_counter() - t0 < 60.0
 
@@ -254,10 +253,16 @@ def test_numerical_invariants():
         v = lle.embedding[:, j] / np.sqrt(40.0)
         assert np.max(np.abs(M @ v - lle.eigenvalues[j] * v)) <= 1e-6
 
-    # Parseval: time-domain energy equals spectrum energy over N
-    x = np.array(rng.gauss_vector(128))
-    coeffs = dft(x).coeffs
-    assert abs(np.sum(x * x) - np.sum(np.abs(coeffs) ** 2) / 128.0) <= 1e-9
+    # Parseval on the half spectrum fft_embed keeps: bins other than 0 and
+    # (for even N) N/2 stand for themselves and their mirror image, so count twice
+    for N in (127, 128):
+        x = np.array(rng.gauss_vector(N))
+        mags = fft_embed(x[:, None])
+        weights = np.full(mags.shape[0], 2.0)
+        weights[0] = 1.0
+        if N % 2 == 0:
+            weights[-1] = 1.0
+        assert abs(np.sum(x * x) - np.sum(weights * mags ** 2) / N) <= 1e-9
 
     # gradients of both training losses on 3-layer networks, every parameter
     ae_spec = NetworkSpec((4, 6, 3, 4), hidden="relu", output="linear")
@@ -304,12 +309,10 @@ def _normalized_split(ds, seed, tau):
 
 def _embed_knn_accuracy(ds, embed_fn, seed, tau=64):
     train_w, test_w = _normalized_split(ds, seed, tau)
-    Xtr = np.stack([embed_fn(w) for w in train_w])
-    Xte = np.stack([embed_fn(w) for w in test_w])
-    ytr = np.array([w.label for w in train_w])
-    yte = np.array([w.label for w in test_w])
-    model = classify.fit("knn", classify.LabeledMatrix(Xtr, ytr), None)
-    return classify.accuracy(classify.predict(model, Xte), yte)
+    Xtr = np.stack([embed_fn(values) for values in train_w.values])
+    Xte = np.stack([embed_fn(values) for values in test_w.values])
+    model = classify.fit("knn", classify.LabeledMatrix(Xtr, train_w.labels), None)
+    return classify.accuracy(classify.predict(model, Xte), test_w.labels)
 
 
 def _embed_train_seconds(method, params, train_w, test_w):
@@ -410,10 +413,9 @@ def test_pipeline_conformance():
                 else:
                     assert got == (T - tau) // (tau - omega) + 1, (T, tau, omega)
 
-    windows = [Window("s", i, 2.0 * np.array(rng.gauss_vector(16 * 3))
-                      .reshape(16, 3) + 1.0, 0) for i in range(40)]
+    windows = window_batch([2.0 * np.array(rng.gauss_vector(16 * 3)).reshape(16, 3) + 1.0
+                            for _ in range(40)])
     norm = fit_normalizer(windows, "zscore")
-    stacked = np.concatenate([w.values for w in
-                              apply_normalizer_all(norm, windows)], axis=0)
+    stacked = apply_normalizer_all(norm, windows).values.reshape(-1, 3)
     assert np.max(np.abs(stacked.mean(axis=0))) < 1e-9
     assert np.max(np.abs(stacked.std(axis=0) - 1.0)) <= 1e-9

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsembed
+from batches import window_batch
 from test_classify import predict_knn_reference
 from test_embed_subspace import lle_fit_reference, lle_transform_reference
 from tsembed import bench, classify
@@ -380,10 +381,9 @@ def test_make_embedder_rejects_badly_typed_params(method, params):
     ("ae", {"d": np.int64(99), "epochs": np.int64(1), "batch": 4},
      {"d": 15, "epochs": 1, "batch": 4}),
 ])
-def test_make_embedder_fit_returns_effective_params(make_window, method, params,
-                                                    effective):
+def test_make_embedder_fit_returns_effective_params(method, params, effective):
     rng = np.random.default_rng(3)
-    windows = [make_window(rng.normal(size=16), label=i % 2, start=i) for i in range(6)]
+    windows = window_batch(rng.normal(size=(6, 16, 1)), labels=np.arange(6) % 2)
     got = make_embedder(EmbeddingCfg(method=method, name=method, params=params)).fit(
         windows, 1)
     assert got == effective

@@ -3,6 +3,7 @@ import json
 import numpy as np
 from click.testing import CliRunner
 
+from tsembed import cli
 from tsembed.cli import main
 from tsembed.data_io import load_wide_csv
 
@@ -89,6 +90,54 @@ def test_embed_dumps_vectors(tmp_path):
     lines = open(path).read().strip().split("\n")
     assert lines[0].startswith("id,label,v0")
     assert len(lines) == 25
+
+
+def one_error_line(result, *words):
+    """The command failed with exit code 1 and one Error: line naming each word."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    for word in words:
+        assert word in lines[0], (word, lines[0])
+
+
+def test_run_rejects_config_that_is_not_utf8(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(b'{"seed": 1, "output_dir": "caf\xe9"}')
+    one_error_line(invoke("run", "--config", str(cfg_path)), str(cfg_path), "not UTF-8")
+
+
+def test_dataset_csv_that_is_not_utf8_is_one_error_line(tmp_path):
+    data_csv = make_data(tmp_path)
+    # a latin-1 byte opens the last row's group name
+    data = data_csv.read_bytes()
+    at = data.index(b",", data.rindex(b"\n", 0, len(data) - 1)) + 1
+    data_csv.write_bytes(data[:at] + b"\xe9" + data[at:])
+    cfg_path = write_config(tmp_path, data_csv)
+    one_error_line(invoke("run", "--config", str(cfg_path)), str(data_csv), "not UTF-8")
+    one_error_line(invoke("embed", "--config", str(cfg_path), "--method", "fft",
+                          "--dataset", "toy"), str(data_csv), "not UTF-8")
+
+
+def test_output_dir_that_is_a_file_fails_before_the_grid(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    (tmp_path / "out").write_text("not a directory")
+    calls = []
+    monkeypatch.setattr(cli, "run_grid", lambda cfg: calls.append(cfg))
+    one_error_line(invoke("run", "--config", str(cfg_path)), "output_dir", str(tmp_path / "out"))
+    assert calls == []
+    one_error_line(invoke("embed", "--config", str(cfg_path), "--method", "fft",
+                          "--dataset", "toy"), "output_dir")
+
+
+def test_unwritable_report_files_are_one_error_line(tmp_path):
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    (tmp_path / "out" / "cells.csv").mkdir(parents=True)
+    one_error_line(invoke("run", "--config", str(cfg_path)), "cells.csv")
+    (tmp_path / "out" / "embeddings_fft_toy.csv").mkdir()
+    one_error_line(invoke("embed", "--config", str(cfg_path), "--method", "fft",
+                          "--dataset", "toy"), "embeddings_fft_toy.csv")
 
 
 def test_embed_unknown_names(tmp_path):

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsembed import embed_graph
-from tsembed.embed_graph import (GRAPH_FEATURE_COUNT, VisibilityGraph,
-                                 graph_embed, graph_features, hvg_build,
-                                 nvg_build)
+from tsembed.embed_graph import (VisibilityGraph, graph_embed, graph_features,
+                                 hvg_build, nvg_build)
 from tsembed.errors import DataError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -353,7 +352,7 @@ def test_edges_view_is_tuples_in_array_order():
 def test_path_graph_features():
     n = 10
     f = graph_features(hvg_build(np.arange(float(n))))
-    assert f.shape == (GRAPH_FEATURE_COUNT,)
+    assert f.shape == (7,)
     density, mean_deg, _, max_deg, transitivity, _, mean_w = f
     assert density == pytest.approx(2.0 / n)
     assert mean_deg == pytest.approx(2.0 * (n - 1) / n)
@@ -428,7 +427,7 @@ def test_nvg_structure_invariant_scaling_scales_weights():
 def test_graph_embed_dimension(make_window):
     w = make_window(np.random.default_rng(0).normal(size=(20, 3)))
     v = graph_embed(w)
-    assert v.shape == (GRAPH_FEATURE_COUNT * 3,)
+    assert v.shape == (7 * 3,)
 
 
 def test_graph_embed_channel_major(make_window):

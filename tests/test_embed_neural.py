@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from batches import window_batch
 from tsembed.embed_neural import (ADAM_EPS, ADAM_STEP, AdamState,
                                   AutoencoderModel, NetworkSpec, adam_step,
                                   ae_embed, ae_reconstruct, ae_train,
                                   init_network, load_checkpoint, net_backward,
                                   net_forward, save_checkpoint, softmax)
 from tsembed.errors import ConfigError, ShapeError
-from tsembed.preprocess import Window
 from tsembed.rng import Xoshiro256StarStar
 
 FD_H = 1e-5
@@ -209,13 +209,11 @@ def planar_windows(n=60, tau=8, channels=2, seed=6):
     rng = Xoshiro256StarStar(seed)
     basis = np.array(rng.gauss_vector(2 * tau * channels)).reshape(2, -1)
     out = []
-    for i in range(n):
+    for _ in range(n):
         z = np.array(rng.gauss_vector(2))
         flat = z @ basis
-        values = flat.reshape(channels, tau).T  # channel-major layout
-        out.append(Window(source_id="s", start=i, values=values,
-                          label=0))
-    return out
+        out.append(flat.reshape(channels, tau).T)  # channel-major layout
+    return window_batch(out)
 
 
 def test_ae_train_reduces_loss():
@@ -272,7 +270,7 @@ def test_ae_parameter_validation():
     with pytest.raises(ConfigError):
         ae_train(windows, d=2, batch=0)
     with pytest.raises(ShapeError):
-        ae_train([], d=2)
+        ae_train(window_batch(np.empty((0, 4, 1))), d=2)
 
 
 # ------------------------------------------------------------ checkpoints

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tsembed.embed_spectral import (MORLET_OMEGA0, CwtConfig, cwt,
-                                    default_scales, fft_embed, fft_dim,
-                                    morlet, wavelet_embed)
+                                    default_scales, fft_embed, morlet,
+                                    wavelet_embed)
 from tsembed.errors import ConfigError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -43,6 +43,8 @@ def test_fft_embed_known_tone(make_window):
 def test_fft_embed_constant(make_window):
     w = make_window([2.0, 2.0, 2.0, 2.0])
     np.testing.assert_allclose(fft_embed(w), [8.0, 0.0, 0.0], atol=1e-12)
+    w = make_window(np.full(8, 3.0))
+    np.testing.assert_allclose(fft_embed(w), [24.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_fft_embed_dims(make_window):
@@ -50,12 +52,12 @@ def test_fft_embed_dims(make_window):
         for C in (1, 2, 3):
             w = make_window(np.zeros((tau, C)))
             assert fft_embed(w).shape == (C * (tau // 2 + 1),)
-            assert fft_dim(tau, C) == C * (tau // 2 + 1)
+            assert fft_embed(np.zeros((3, tau, C))).shape == (3, C * (tau // 2 + 1))
 
 
 def test_fft_embed_matches_naive(make_window):
     rng = Xoshiro256StarStar(2)
-    for tau in (5, 8, 13):
+    for tau in range(1, 65):
         x = np.array(rng.gauss_vector(tau))
         got = fft_embed(make_window(x))
         np.testing.assert_allclose(got, naive_dft_mags(x), atol=1e-9)

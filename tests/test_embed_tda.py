@@ -10,8 +10,7 @@ from tsembed.embed_graph import graph_features, hvg_build
 from tsembed.embed_tda import (DEFAULT_GRID_SIZE, PersistenceDiagram,
                                betti_curve, bottleneck, landscape_norm,
                                landscape_norms, persistence_entropy,
-                               sublevel_persistence, tda_dim, tda_embed,
-                               wasserstein)
+                               sublevel_persistence, tda_embed, wasserstein)
 from tsembed.errors import CapacityError, ConfigError, DataError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -396,9 +395,8 @@ def test_distance_capacity_cap():
 def test_tda_embed_dimension(make_window):
     w = make_window(np.random.default_rng(2).normal(size=(24, 2)))
     v = tda_embed(w)
-    assert v.shape == (tda_dim(2),)
-    assert tda_dim(2) == 2 * (9 + DEFAULT_GRID_SIZE + 7)
-    assert tda_dim(1, grid_size=4) == 20
+    assert v.shape == (2 * (9 + DEFAULT_GRID_SIZE + 7),)
+    assert tda_embed(w[:, :1], grid_size=4).shape == (20,)
 
 
 def test_tda_embed_slot_layout(make_window):
@@ -436,7 +434,7 @@ def test_tda_embed_long_noisy_window(make_window):
     # hundreds of diagram points, far past the matcher's cap of 64
     x = np.random.default_rng(5).normal(size=1024)
     v = tda_embed(make_window(x))
-    assert v.shape == (tda_dim(1),) and np.all(np.isfinite(v))
+    assert v.shape == (9 + DEFAULT_GRID_SIZE + 7,) and np.all(np.isfinite(v))
     dgm = sublevel_persistence(x)
     assert dgm.n_pairs > 64
     half = dgm.persistences() / 2.0

@@ -8,22 +8,9 @@ from hypothesis import strategies as st
 from pointsets import point_sets
 from tsembed import numcore
 from tsembed.errors import ContractError, NumericError, ShapeError
-from tsembed.numcore import (dft, idft, linear_solve, linear_solve_batched,
-                             nearest_neighbors, symmetric_eig)
+from tsembed.numcore import (linear_solve, linear_solve_batched, nearest_neighbors,
+                             symmetric_eig)
 from tsembed.rng import Xoshiro256StarStar
-
-
-def naive_dft(x):
-    """Direct O(N^2) definition sum; the independent reference."""
-    x = np.asarray(x, dtype=complex)
-    N = x.shape[0]
-    out = np.empty(N, dtype=complex)
-    for k in range(N):
-        acc = 0.0 + 0.0j
-        for n in range(N):
-            acc += x[n] * np.exp(-2j * np.pi * k * n / N)
-        out[k] = acc
-    return out
 
 
 def random_matrix(rng, n):
@@ -283,67 +270,3 @@ def test_nearest_neighbors_ties_go_to_lower_index():
     index, dist = nearest_neighbors(np.zeros((1, 2)), train, 4)
     np.testing.assert_array_equal(index, [[4, 5, 0, 1]])
     np.testing.assert_array_equal(dist, [[0.0, 0.0, 1.0, 1.0]])
-
-
-# ------------------------------------------------------------ dft
-
-def test_dft_matches_naive_all_sizes():
-    rng = Xoshiro256StarStar(31)
-    for N in range(2, 65):
-        x = np.array(rng.gauss_vector(N))
-        got = dft(x).coeffs
-        want = naive_dft(x)
-        assert np.max(np.abs(got - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
-
-
-def test_dft_constant_signal():
-    got = dft(np.full(8, 3.0)).coeffs
-    want = np.zeros(8, dtype=complex)
-    want[0] = 24.0
-    np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def test_dft_pure_cosine():
-    # cos(2 pi n / 4) over 4 samples: energy splits into bins 1 and 3
-    x = np.array([1.0, 0.0, -1.0, 0.0])
-    mags = np.abs(dft(x).coeffs)
-    np.testing.assert_allclose(mags, [0.0, 2.0, 0.0, 2.0], atol=1e-12)
-
-
-def test_dft_linearity():
-    rng = Xoshiro256StarStar(37)
-    x = np.array(rng.gauss_vector(16))
-    y = np.array(rng.gauss_vector(16))
-    lhs = dft(2.5 * x - 1.5 * y).coeffs
-    rhs = 2.5 * dft(x).coeffs - 1.5 * dft(y).coeffs
-    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-def test_dft_parseval():
-    rng = Xoshiro256StarStar(41)
-    x = np.array(rng.gauss_vector(25))
-    coeffs = dft(x).coeffs
-    assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(
-        x.shape[0] * np.sum(x * x), rel=1e-10)
-
-
-def test_dft_real_signal_conjugate_symmetry():
-    rng = Xoshiro256StarStar(43)
-    x = np.array(rng.gauss_vector(12))
-    coeffs = dft(x).coeffs
-    for k in range(1, 12):
-        assert coeffs[12 - k] == pytest.approx(np.conj(coeffs[k]), abs=1e-10)
-
-
-def test_dft_inverse_round_trip():
-    rng = Xoshiro256StarStar(47)
-    x = np.array(rng.gauss_vector(33))
-    back = idft(dft(x))
-    assert np.max(np.abs(back - x)) < 1e-9 * max(1.0, np.max(np.abs(x)))
-
-
-def test_dft_rejects_empty_and_2d():
-    with pytest.raises(ShapeError):
-        dft(np.array([]))
-    with pytest.raises(ShapeError):
-        dft(np.zeros((3, 3)))

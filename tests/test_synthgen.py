@@ -4,7 +4,6 @@ import pytest
 from tsembed.classify import LabeledMatrix, accuracy, fit_knn, predict
 from tsembed.embed_spectral import fft_embed
 from tsembed.errors import ConfigError
-from tsembed.preprocess import Window
 from tsembed.synthgen import SYNTH_KINDS, SynthSpec, generate
 
 
@@ -77,14 +76,8 @@ def test_noise_sigma_zero_is_clean():
 def test_tone_classes_separable_by_spectrum():
     ds = generate(SynthSpec(kind="tones", classes=2, n_per_class=30, tau=64,
                             noise_sigma=0.2, seed=3))
-    X, y = [], []
-    for rec in ds.series:
-        w = Window(source_id=rec.series_id, start=0, values=rec.values,
-                   label=int(rec.labels[0]))
-        X.append(fft_embed(w))
-        y.append(w.label)
-    X = np.array(X)
-    y = np.array(y, dtype=np.int64)
+    X = fft_embed(np.array([rec.values for rec in ds.series]))
+    y = np.array([rec.labels[0] for rec in ds.series], dtype=np.int64)
     train = LabeledMatrix(X[::2], y[::2])
     model = fit_knn(train, k=1)
     assert accuracy(predict(model, X[1::2]), y[1::2]) >= 0.95
