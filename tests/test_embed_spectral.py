@@ -43,8 +43,6 @@ def test_fft_embed_known_tone(make_window):
 def test_fft_embed_constant(make_window):
     w = make_window([2.0, 2.0, 2.0, 2.0])
     np.testing.assert_allclose(fft_embed(w), [8.0, 0.0, 0.0], atol=1e-12)
-    w = make_window(np.full(8, 3.0))
-    np.testing.assert_allclose(fft_embed(w), [24.0, 0.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_fft_embed_dims(make_window):
@@ -57,7 +55,7 @@ def test_fft_embed_dims(make_window):
 
 def test_fft_embed_matches_naive(make_window):
     rng = Xoshiro256StarStar(2)
-    for tau in range(1, 65):
+    for tau in (1, 5, 8, 13):
         x = np.array(rng.gauss_vector(tau))
         got = fft_embed(make_window(x))
         np.testing.assert_allclose(got, naive_dft_mags(x), atol=1e-9)

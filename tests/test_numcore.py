@@ -7,10 +7,29 @@ from hypothesis import strategies as st
 
 from pointsets import point_sets
 from tsembed import numcore
+from tsembed.embed_spectral import fft_embed
 from tsembed.errors import ContractError, NumericError, ShapeError
 from tsembed.numcore import (linear_solve, linear_solve_batched, nearest_neighbors,
                              symmetric_eig)
 from tsembed.rng import Xoshiro256StarStar
+
+
+def naive_dft(x):
+    """Direct O(N^2) definition sum; the independent reference."""
+    x = np.asarray(x, dtype=complex)
+    N = x.shape[0]
+    out = np.empty(N, dtype=complex)
+    for k in range(N):
+        acc = 0.0 + 0.0j
+        for n in range(N):
+            acc += x[n] * np.exp(-2j * np.pi * k * n / N)
+        out[k] = acc
+    return out
+
+
+def half_spectrum(x):
+    """The program's DFT: fft_embed's magnitudes of bins 0..N//2 of one channel."""
+    return fft_embed(np.asarray(x, dtype=float)[:, None])
 
 
 def random_matrix(rng, n):
@@ -270,3 +289,41 @@ def test_nearest_neighbors_ties_go_to_lower_index():
     index, dist = nearest_neighbors(np.zeros((1, 2)), train, 4)
     np.testing.assert_array_equal(index, [[4, 5, 0, 1]])
     np.testing.assert_array_equal(dist, [[0.0, 0.0, 1.0, 1.0]])
+
+
+# ------------------------------------------------------------ dft
+
+def test_dft_matches_naive_all_sizes():
+    rng = Xoshiro256StarStar(31)
+    for N in range(2, 65):
+        x = np.array(rng.gauss_vector(N))
+        got = half_spectrum(x)
+        want = np.abs(naive_dft(x)[:N // 2 + 1])
+        assert np.max(np.abs(got - want)) < 1e-9 * max(1.0, np.max(want))
+
+
+def test_dft_constant_signal():
+    got = half_spectrum(np.full(8, 3.0))
+    want = np.zeros(5)
+    want[0] = 24.0
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_dft_pure_cosine():
+    # cos(2 pi n / 4) over 4 samples: energy splits into bins 1 and 3 (3 mirrors 1)
+    x = np.array([1.0, 0.0, -1.0, 0.0])
+    np.testing.assert_allclose(half_spectrum(x), [0.0, 2.0, 0.0], atol=1e-12)
+
+
+def test_dft_parseval():
+    # bins other than 0 and (for even N) N/2 stand for themselves and their
+    # mirror image, so they count twice
+    rng = Xoshiro256StarStar(41)
+    for N in (25, 26):
+        x = np.array(rng.gauss_vector(N))
+        mags = half_spectrum(x)
+        weights = np.full(mags.shape[0], 2.0)
+        weights[0] = 1.0
+        if N % 2 == 0:
+            weights[-1] = 1.0
+        assert np.sum(weights * mags ** 2) == pytest.approx(N * np.sum(x * x), rel=1e-10)
