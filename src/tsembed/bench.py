@@ -675,7 +675,9 @@ def dump_embeddings(cfg: BenchConfig, dataset_name: str, embedding_name: str,
     X = embedder.transform(windows)
 
     lines = [",".join(["id", "label"] + [f"v{i}" for i in range(X.shape[1])])]
-    lines += [f"{source_id}:{start},{label}," + ",".join(fmt(v) for v in row)
+    row_fmt = ",".join(["%.6g"] * X.shape[1])  # fmt() on each value, one % per row
+    lines += [f"{source_id}:{start},{label}," + row_fmt % tuple(row)
               for source_id, start, label, row in zip(
-                  windows.source_ids, windows.starts.tolist(), windows.labels.tolist(), X)]
+                  windows.source_ids, windows.starts.tolist(), windows.labels.tolist(),
+                  X.tolist())]
     return _write_lines(out_dir, f"embeddings_{emb.name}_{ds.name}.csv", lines)

@@ -14,12 +14,21 @@ Labels are arbitrary tokens in the files and are mapped to dense 0-based ids
 in first-appearance order (file order), so the mapping depends only on file
 content. Splitting assigns whole groups to train/val/test, never splitting a
 group across sides.
+
+Both loaders first read the data rows as columns with numpy's C text reader
+and check them as arrays (long CSV: one sort by series, t and channel shows
+duplicates, gaps, conflicting labels and second groups). The row loop
+(``_long_rows``, ``_wide_rows``) reads the file instead when it is not
+quote-free ASCII, when numpy cannot parse a field, and on any value or grid
+the row loop would reject. It is the only code that raises parse and schema
+errors, so their messages and line numbers do not depend on the path taken.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -111,42 +120,132 @@ def _parse_int(text: str, line_no: int, what: str) -> int:
         raise ParseError(f"line {line_no}: {what} {text!r} is not an integer") from None
 
 
+def _read_columns(path: str, dtype: np.dtype, skiprows: int) -> np.ndarray | None:
+    """The data rows as one structured array, read by numpy's C reader; None
+    where the row loop must decide.
+
+    Only quote-free ASCII files without NUL or the bytes 0x1c-0x1f, and
+    without a line longer than csv.reader's field size limit, take this path:
+    csv.reader strips quotes that numpy would keep, and it stops on an
+    overlong field and (before Python 3.11) on NUL; numpy parses some
+    non-ASCII digits and those separator bytes in numbers where Python's
+    int() and float() refuse them. On such files both readers split the same
+    lines into the same fields, and every number numpy accepts is the one
+    int() or float() returns.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.isascii() or any(b in raw for b in (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e",
+                                                    b"\x1f")):
+        return None
+    limit = csv.field_size_limit()
+    if len(raw) > limit:
+        newlines = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        if np.diff(newlines, prepend=-1, append=len(raw)).max() > limit:
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows: the row loop says so
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                              quotechar=None, skiprows=skiprows, ndmin=1, encoding="ascii")
+    except ValueError:
+        return None
+    return rows if len(rows) else None
+
+
+def _codes(column: np.ndarray) -> tuple[np.ndarray, list]:
+    """First-appearance ids of an object column's values, and the values in
+    that order. Rows of a series come in runs, so only run heads are hashed."""
+    heads = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+    index: dict = {}
+    head_ids = np.array([index.setdefault(v, len(index)) for v in column[heads].tolist()],
+                        dtype=np.int64)
+    return np.repeat(head_ids, np.diff(heads, append=len(column))), list(index)
+
+
+_LONG_DTYPE = np.dtype([("series_id", "O"), ("group", "O"), ("channel", "i8"),
+                        ("t", "i8"), ("value", "f8"), ("label", "O")])
+
+
+def _long_columns(path: str) -> TimeSeriesDataset | None:
+    """The long layout from sorted columns; None on anything the row loop
+    would reject, or that it might read differently."""
+    rows = _read_columns(path, _LONG_DTYPE, skiprows=1)
+    if rows is None:
+        return None
+    sid, ids = _codes(rows["series_id"])
+    gid, groups = _codes(rows["group"])
+    lid, alphabet = _codes(rows["label"])
+    channel, t, value = (np.ascontiguousarray(rows[f]) for f in ("channel", "t", "value"))
+    del rows  # drop the object columns before the records are built
+    n_channels = int(channel.max()) + 1  # a grid has C rows or more; keeps C in int64
+    if not 1 <= n_channels <= len(value) or not np.isfinite(value).all():
+        return None
+    # Sorted by (series, t, channel), a complete grid from 0 reads
+    # t = pos // C, channel = pos % C at position pos within its series;
+    # that also rules out duplicates and missing, negative or extra cells.
+    order = np.lexsort((channel, t, sid))
+    sid, gid, lid, channel, t, value = (a[order] for a in (sid, gid, lid, channel, t, value))
+    starts = np.flatnonzero(np.diff(sid, prepend=-1))
+    counts = np.diff(starts, append=len(sid))
+    pos = np.arange(len(sid)) - np.repeat(starts, counts)
+    if ((counts % n_channels).any() or (channel != pos % n_channels).any()
+            or (t != pos // n_channels).any() or (gid != np.repeat(gid[starts], counts)).any()):
+        return None
+    labels = lid.reshape(-1, n_channels)
+    if (labels != labels[:, :1]).any():  # one label per (series, t)
+        return None
+    values = value.reshape(-1, n_channels)
+    bounds = np.append(starts, len(sid)) // n_channels
+    records = [SeriesRecord(ids[k], groups[gid[starts[k]]], values[a:b].copy(),
+                            labels[a:b, 0].copy())
+               for k, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))]
+    return TimeSeriesDataset(records, n_channels, alphabet)
+
+
 def load_long_csv(path: str) -> TimeSeriesDataset:
     """Load the long layout; any row order is accepted, grids must be complete."""
+    with open_text(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(_LONG_DTYPE.names):
+            raise ParseError(f"{path}: unexpected long CSV header {header}")
+        ds = _long_columns(path) or _long_rows(path, reader)
+    ds.validate()
+    return ds
+
+
+def _long_rows(path: str, reader) -> TimeSeriesDataset:
+    """The row loop: the long layout's data rows, one at a time."""
     alphabet = _LabelAlphabet()
     # series_id -> (group, {(channel, t): value}, {t: label_id})
     acc: dict[str, tuple[str, dict, dict]] = {}
     order: list[str] = []
-    with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["series_id", "group", "channel", "t", "value", "label"]:
-            raise ParseError(f"{path}: unexpected long CSV header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"line {line_no}: expected 6 fields, got {len(row)}")
-            sid, group, ch_s, t_s, val_s, label = row
-            channel = _parse_int(ch_s, line_no, "channel")
-            t = _parse_int(t_s, line_no, "t")
-            if channel < 0 or t < 0:
-                raise SchemaError(f"line {line_no}: negative channel or t")
-            value = _parse_float(val_s, line_no)
-            label_id = alphabet.id_for(label)
-            if sid not in acc:
-                acc[sid] = (group, {}, {})
-                order.append(sid)
-            grp, cells, labels = acc[sid]
-            if grp != group:
-                raise SchemaError(f"line {line_no}: series {sid!r} listed under two groups")
-            if (channel, t) in cells:
-                raise SchemaError(f"line {line_no}: duplicate entry for series {sid!r} "
-                                  f"channel {channel} t {t}")
-            cells[(channel, t)] = value
-            if t in labels and labels[t] != label_id:
-                raise SchemaError(f"line {line_no}: conflicting labels for series {sid!r} t {t}")
-            labels[t] = label_id
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise ParseError(f"line {line_no}: expected 6 fields, got {len(row)}")
+        sid, group, ch_s, t_s, val_s, label = row
+        channel = _parse_int(ch_s, line_no, "channel")
+        t = _parse_int(t_s, line_no, "t")
+        if channel < 0 or t < 0:
+            raise SchemaError(f"line {line_no}: negative channel or t")
+        value = _parse_float(val_s, line_no)
+        label_id = alphabet.id_for(label)
+        if sid not in acc:
+            acc[sid] = (group, {}, {})
+            order.append(sid)
+        grp, cells, labels = acc[sid]
+        if grp != group:
+            raise SchemaError(f"line {line_no}: series {sid!r} listed under two groups")
+        if (channel, t) in cells:
+            raise SchemaError(f"line {line_no}: duplicate entry for series {sid!r} "
+                              f"channel {channel} t {t}")
+        cells[(channel, t)] = value
+        if t in labels and labels[t] != label_id:
+            raise SchemaError(f"line {line_no}: conflicting labels for series {sid!r} t {t}")
+        labels[t] = label_id
 
     if not order:
         raise DataError(f"{path}: no series found")
@@ -172,10 +271,7 @@ def load_long_csv(path: str) -> TimeSeriesDataset:
             values[t, c] = v
         label_arr = np.array([labels[t] for t in range(T)], dtype=np.int64)
         records.append(SeriesRecord(sid, group, values, label_arr))
-
-    ds = TimeSeriesDataset(records, n_channels or 0, alphabet.tokens)
-    ds.validate()
-    return ds
+    return TimeSeriesDataset(records, n_channels or 0, alphabet.tokens)
 
 
 def load_wide_csv(path: str, channels: int | None = None) -> TimeSeriesDataset:
@@ -217,26 +313,48 @@ def load_wide_csv(path: str, channels: int | None = None) -> TimeSeriesDataset:
             raise ParseError(f"line {line_no}: value column names do not match "
                              f"channel-major c<c>_t<t> layout")
 
-        alphabet = _LabelAlphabet()
-        records = []
-        reader = csv.reader(fh)
-        for row_no, row in enumerate(reader, start=line_no + 1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"line {row_no}: expected {len(header)} fields, got {len(row)}")
-            sid, group, label = row[0], row[1], row[2]
-            flat = np.array([_parse_float(v, row_no) for v in row[3:]])
-            values = flat.reshape(n_ch, T).T  # channel-major flat -> (T, C)
-            label_id = alphabet.id_for(label)
-            labels = np.full(T, label_id, dtype=np.int64)
-            records.append(SeriesRecord(sid, group, values, labels))
+        ds = (_wide_columns(path, line_no, n_ch, T)
+              or _wide_rows(path, csv.reader(fh), line_no, len(header), n_ch, T))
+    ds.validate()
+    return ds
+
+
+def _wide_columns(path: str, skiprows: int, n_ch: int, T: int) -> TimeSeriesDataset | None:
+    """The wide layout's data rows in one C read; None where the row loop must decide."""
+    dtype = np.dtype([("series_id", "O"), ("group", "O"), ("label", "O"),
+                      ("values", "f8", (n_ch * T,))])
+    rows = _read_columns(path, dtype, skiprows)
+    if rows is None or not np.isfinite(rows["values"]).all():
+        return None
+    lid, alphabet = _codes(rows["label"])
+    records = [SeriesRecord(sid, group, flat.copy().reshape(n_ch, T).T,
+                            np.full(T, label_id, dtype=np.int64))
+               for sid, group, flat, label_id in zip(
+                   rows["series_id"].tolist(), rows["group"].tolist(), rows["values"],
+                   lid.tolist())]
+    return TimeSeriesDataset(records, n_ch, alphabet)
+
+
+def _wide_rows(path: str, reader, line_no: int, n_fields: int, n_ch: int,
+               T: int) -> TimeSeriesDataset:
+    """The row loop: the wide layout's data rows, one at a time."""
+    alphabet = _LabelAlphabet()
+    records = []
+    for row_no, row in enumerate(reader, start=line_no + 1):
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise ParseError(f"line {row_no}: expected {n_fields} fields, got {len(row)}")
+        sid, group, label = row[0], row[1], row[2]
+        flat = np.array([_parse_float(v, row_no) for v in row[3:]])
+        values = flat.reshape(n_ch, T).T  # channel-major flat -> (T, C)
+        label_id = alphabet.id_for(label)
+        labels = np.full(T, label_id, dtype=np.int64)
+        records.append(SeriesRecord(sid, group, values, labels))
 
     if not records:
         raise DataError(f"{path}: no series found")
-    ds = TimeSeriesDataset(records, n_ch, alphabet.tokens)
-    ds.validate()
-    return ds
+    return TimeSeriesDataset(records, n_ch, alphabet.tokens)
 
 
 def load_dataset(path: str, fmt: str, channels: int | None = None) -> TimeSeriesDataset:
@@ -250,7 +368,8 @@ def load_dataset(path: str, fmt: str, channels: int | None = None) -> TimeSeries
 def save_wide_csv(ds: TimeSeriesDataset, path: str) -> None:
     """Write the wide layout. Requires a uniform series length (the header
     fixes the column set) and a single label per series. Values are written
-    with full precision so a reload reproduces the dataset exactly."""
+    with full precision so a reload reproduces the dataset exactly. A failed
+    write is a ConfigError."""
     lengths = {rec.values.shape[0] for rec in ds.series}
     if len(lengths) > 1:
         raise SchemaError(f"wide CSV requires uniform series length, got {sorted(lengths)}")
@@ -259,15 +378,18 @@ def save_wide_csv(ds: TimeSeriesDataset, path: str) -> None:
             raise SchemaError(f"series {rec.series_id!r} has per-timestep labels; "
                               "wide CSV stores one label per series")
     T = lengths.pop() if lengths else 0
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# channels={ds.n_channels}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        cols = [f"c{c}_t{t}" for c in range(ds.n_channels) for t in range(T)]
-        writer.writerow(["series_id", "group", "label"] + cols)
-        for rec in ds.series:
-            token = ds.label_alphabet[int(rec.labels[0])]
-            flat = rec.values.T.reshape(-1)  # (T, C) -> channel-major flat
-            writer.writerow([rec.series_id, rec.group, token] + [repr(float(v)) for v in flat])
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# channels={ds.n_channels}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            cols = [f"c{c}_t{t}" for c in range(ds.n_channels) for t in range(T)]
+            writer.writerow(["series_id", "group", "label"] + cols)
+            for rec in ds.series:
+                token = ds.label_alphabet[int(rec.labels[0])]
+                flat = rec.values.T.reshape(-1)  # (T, C) -> channel-major flat
+                writer.writerow([rec.series_id, rec.group, token] + [repr(float(v)) for v in flat])
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
 
 
 def split_by_group(

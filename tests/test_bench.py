@@ -538,7 +538,8 @@ def test_run_grid_deterministic_reports(tones_csv, tmp_path):
         name = p1.rsplit("/", 1)[1]
         if name == "timings.csv":
             continue
-        assert open(p1, "rb").read() == open(p2, "rb").read(), name
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read(), name
 
 
 def test_run_grid_different_seed_changes_split(tones_csv, tmp_path):
@@ -698,7 +699,8 @@ def test_dump_embeddings(tones_csv, tmp_path):
     cfg = parse_config(base_config(tones_csv, out))
     path = dump_embeddings(cfg, "tones", "fft")
     assert path.endswith("embeddings_fft_tones.csv")
-    lines = open(path).read().strip().split("\n")
+    with open(path) as fh:
+        lines = fh.read().strip().split("\n")
     # 24 series, one window each; fft dim for tau=16, C=1 is 9
     assert lines[0] == "id,label," + ",".join(f"v{i}" for i in range(9))
     assert len(lines) == 25

@@ -87,7 +87,8 @@ def test_embed_dumps_vectors(tmp_path):
     assert result.exit_code == 0, result.output
     path = result.output.strip()
     assert path.endswith("embeddings_fft_toy.csv")
-    lines = open(path).read().strip().split("\n")
+    with open(path) as fh:
+        lines = fh.read().strip().split("\n")
     assert lines[0].startswith("id,label,v0")
     assert len(lines) == 25
 
@@ -138,6 +139,12 @@ def test_unwritable_report_files_are_one_error_line(tmp_path):
     (tmp_path / "out" / "embeddings_fft_toy.csv").mkdir()
     one_error_line(invoke("embed", "--config", str(cfg_path), "--method", "fft",
                           "--dataset", "toy"), "embeddings_fft_toy.csv")
+
+
+def test_synth_into_missing_directory_is_one_error_line(tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    one_error_line(invoke("synth", "--kind", "tones", "--out", str(out)), str(out))
+    assert not out.parent.exists()
 
 
 def test_embed_unknown_names(tmp_path):
