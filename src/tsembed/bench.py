@@ -4,12 +4,12 @@ A run is a cross product of datasets x embedding methods x classifiers. Per
 dataset: load, group-disjoint split, segment into windows, fit normalization
 on train only. Per embedding method: fit on train windows with a seed derived
 from (master seed, dataset, method), transform all splits, and time the train
-fit+transform and the test transform with a monotonic clock. Per classifier:
-fit on train embeddings with a seed derived from (master seed, dataset,
-method, classifier), select hyperparameters on the validation split (or
-5-fold cross-validation on train when the validation split is empty), and
-report test accuracy. A numeric failure inside one cell records that cell as
-errored and leaves every other cell untouched.
+fit+transform and the test transform with a monotonic clock. Per classifier
+(seed from master seed, dataset, method, classifier), each grid combo scores
+its mean held-out accuracy over the folds: the validation split as one fold,
+else 5-fold CV on train. The best (first on ties) is tested as its validation
+fold fit it, or refit on all of train after CV. A numeric failure inside one
+cell records that cell as errored and leaves every other cell untouched.
 
 Embedding methods are one table: method -> (param defaults, fit, transform).
 make_embedder checks a config's params against the defaults by the rule
@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify
-from .data_io import TimeSeriesDataset, load_dataset, open_text, split_by_group
+from .data_io import (TimeSeriesDataset, csv_records, load_dataset, open_text,
+                      split_by_group)
 from .embed_graph import graph_embed
 from .embed_neural import ae_embed, ae_train
 from .embed_spectral import CwtConfig, default_scales, fft_embed, wavelet_embed
@@ -350,15 +351,14 @@ def average_rank(accuracies: np.ndarray, ties: str = "first") -> np.ndarray:
 
 def read_accuracy_csv(path: str) -> tuple[list[str], list[str], np.ndarray]:
     """Read a dataset-by-method accuracy table: header ``dataset,<m1>,...``."""
-    import csv as _csv
     with open_text(path) as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
+        records = csv_records(path, fh)
+        _, header = next(records, (1, None))
         if not header or len(header) < 2 or header[0] != "dataset":
             raise ParseError(f"{path}: expected header 'dataset,<method>,...'")
         methods = header[1:]
         names, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) != len(header):
@@ -394,16 +394,6 @@ class EvaluationReport:
     avg_ranks: list[tuple[str, float]]                # embedding, avg rank
     timings: list[tuple[str, str, str, float, float, float]]
     effective: dict
-
-
-def time_cell(fit_fn, infer_fn) -> tuple[float, float]:
-    """Monotonic wall-clock seconds for a fit closure and an infer closure."""
-    t0 = time.perf_counter()
-    fit_fn()
-    t1 = time.perf_counter()
-    infer_fn()
-    t2 = time.perf_counter()
-    return t1 - t0, t2 - t1
 
 
 def _load_splits(ds: DatasetCfg, master_seed: int):
@@ -456,29 +446,6 @@ def _expand_grid(grid: dict) -> list[dict]:
     return combos
 
 
-def _cv_accuracy(kind: str, params: dict, X: np.ndarray, y: np.ndarray,
-                 seed: int) -> float:
-    """5-fold (or n-fold when small) cross-validation accuracy on train."""
-    n = X.shape[0]
-    k = min(5, n)
-    indices = list(range(n))
-    Xoshiro256StarStar(derive_seed(seed, "cv")).shuffle(indices)
-    folds = [indices[i::k] for i in range(k)]
-    accs = []
-    for held in folds:
-        held_mask = np.zeros(n, dtype=bool)
-        held_mask[held] = True
-        if held_mask.all() or not held_mask.any():
-            continue
-        model = classify.fit(kind, classify.LabeledMatrix(X[~held_mask], y[~held_mask]),
-                             params)
-        accs.append(classify.accuracy(classify.predict(model, X[held_mask]),
-                                      y[held_mask]))
-    if not accs:
-        raise ConfigError("cross-validation impossible on this train split")
-    return float(np.mean(accs))
-
-
 _SEEDED_KINDS = {"forest", "mlp"}
 
 
@@ -488,36 +455,56 @@ def _error_cell(dataset: str, embedding: str, classifier: str,
                       f"error:{type(err).__name__}", {}, 0.0)
 
 
+def _folds(Xtr, ytr, Xval, yval, seed: int) -> list[tuple]:
+    """(train part, held-out X, held-out y) per fold: the validation split as
+    one fold, else min(5, n) cross-validation folds of train."""
+    if Xval is not None and Xval.shape[0] > 0:
+        return [(classify.LabeledMatrix(Xtr, ytr), Xval, yval)]
+    n = Xtr.shape[0]
+    if n < 2:
+        raise ConfigError("cross-validation impossible on this train split")
+    k = min(5, n)
+    indices = list(range(n))
+    Xoshiro256StarStar(derive_seed(seed, "cv")).shuffle(indices)
+    folds = []
+    for i in range(k):
+        held = np.zeros(n, dtype=bool)
+        held[indices[i::k]] = True
+        folds.append((classify.LabeledMatrix(Xtr[~held], ytr[~held]), Xtr[held], ytr[held]))
+    return folds
+
+
 def _run_cell(dataset: str, embedding: str, clf: ClassifierCfg,
               Xtr, ytr, Xval, yval, Xte, yte, cell_seed: int) -> CellResult:
-    combos = _expand_grid(clf.grid)
-    best_acc = None
-    best_combo = None
-    errors = []
     t0 = time.perf_counter()
-    for combo in combos:
+    try:
+        folds = _folds(Xtr, ytr, Xval, yval, cell_seed)
+    except TsembedError as e:
+        return _error_cell(dataset, embedding, clf.name, e)
+    best_acc = best_combo = best_model = None
+    error: TsembedError = ConfigError("no grid combination fit")
+    for combo in _expand_grid(clf.grid):
         params = {**clf.params, **combo}
         if clf.kind in _SEEDED_KINDS and "seed" not in params:
             params["seed"] = cell_seed
+        accs = []
         try:
-            if Xval is not None and Xval.shape[0] > 0:
-                model = classify.fit(clf.kind, classify.LabeledMatrix(Xtr, ytr), params)
-                acc = classify.accuracy(classify.predict(model, Xval), yval)
-            else:
-                acc = _cv_accuracy(clf.kind, params, Xtr, ytr, cell_seed)
+            for part, X_held, y_held in folds:
+                model = classify.fit(clf.kind, part, params)
+                accs.append(classify.accuracy(classify.predict(model, X_held), y_held))
         except TsembedError as e:
-            errors.append(e)
+            error = e
             continue
+        acc = float(np.mean(accs))
         if best_acc is None or acc > best_acc:
-            best_acc = acc
-            best_combo = params
+            best_acc, best_combo, best_model = acc, params, model
     if best_combo is None:
-        err = errors[-1] if errors else ConfigError("no grid combination fit")
-        return _error_cell(dataset, embedding, clf.name, err)
+        return _error_cell(dataset, embedding, clf.name, error)
     try:
-        model = classify.fit(clf.kind, classify.LabeledMatrix(Xtr, ytr), best_combo)
+        if len(folds) > 1:  # cross-validation has two folds or more
+            best_model = classify.fit(clf.kind, classify.LabeledMatrix(Xtr, ytr), best_combo)
         fit_seconds = time.perf_counter() - t0
-        test_acc = classify.accuracy(classify.predict(model, Xte), yte)
+        test_acc = classify.accuracy(classify.predict(best_model, Xte), yte)
     except TsembedError as e:
         return _error_cell(dataset, embedding, clf.name, e)
     return CellResult(dataset, embedding, clf.name, float(test_acc), "ok", best_combo,
@@ -539,31 +526,27 @@ def run_grid(cfg: BenchConfig) -> EvaluationReport:
         for emb in cfg.embeddings:
             embedder = make_embedder(emb)
             emb_seed = derive_seed(cfg.seed, ds.name, emb.name)
-            holder: dict = {}
-
-            def fit_part():
-                holder["params"] = embedder.fit(train_w, emb_seed)
-                holder["Xtr"] = embedder.transform(train_w)
-
-            def infer_part():
-                holder["Xte"] = embedder.transform(test_w)
-
             try:
-                train_s, infer_s = time_cell(fit_part, infer_part)
+                t0 = time.perf_counter()
+                effective_params = embedder.fit(train_w, emb_seed)
+                Xtr = embedder.transform(train_w)
+                t1 = time.perf_counter()
+                Xte = embedder.transform(test_w)
+                t2 = time.perf_counter()
                 Xval = embedder.transform(val_w) if val_w else None
             except TsembedError as e:
                 cells += [_error_cell(ds.name, emb.name, clf.name, e)
                           for clf in cfg.classifiers]
                 continue
-            effective[ds.name][emb.name] = holder["params"]
+            effective[ds.name][emb.name] = effective_params
 
             for clf in cfg.classifiers:
                 cell_seed = derive_seed(cfg.seed, ds.name, emb.name, clf.name)
-                cell = _run_cell(ds.name, emb.name, clf, holder["Xtr"], ytr, Xval, yval,
-                                 holder["Xte"], yte, cell_seed)
+                cell = _run_cell(ds.name, emb.name, clf, Xtr, ytr, Xval, yval, Xte, yte,
+                                 cell_seed)
                 cells.append(cell)
-                timings.append((ds.name, emb.name, clf.name,
-                                cell.fit_seconds, train_s, infer_s))
+                timings.append((ds.name, emb.name, clf.name, cell.fit_seconds,
+                                t1 - t0, t2 - t1))
 
     summary = []
     means: dict[tuple[str, str], float] = {}

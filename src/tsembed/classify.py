@@ -310,35 +310,40 @@ def _majority(y: np.ndarray) -> int:
     return int(np.argmax(np.bincount(y)))
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, depth: int, max_depth: int,
-               min_leaf: int, rng: Xoshiro256StarStar | None,
-               max_features: int | None) -> TreeNode:
-    if depth >= max_depth or np.unique(y).shape[0] == 1:
-        return TreeNode(label=_majority(y))
-    d = X.shape[1]
-    if max_features is not None and max_features < d:
-        features = np.array(sorted(rng.sample_indices(d, max_features)))
-    else:
-        features = np.arange(d)
-    f, thr, _ = best_split(X, y, features, min_leaf)
-    if f < 0:
-        return TreeNode(label=_majority(y))
-    # zero-gain splits are taken on impure nodes: parity-style interactions
-    # (e.g. XOR) only pay off a level deeper
-    mask = X[:, f] <= thr
-    left = _grow_tree(X[mask], y[mask], depth + 1, max_depth, min_leaf,
-                      rng, max_features)
-    right = _grow_tree(X[~mask], y[~mask], depth + 1, max_depth, min_leaf,
-                       rng, max_features)
-    return TreeNode(feature=f, threshold=thr, left=left, right=right)
+def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int,
+               rng: Xoshiro256StarStar | None, max_features: int | None) -> TreeNode:
+    """Nodes in preorder, each left subtree before its right sibling (the order
+    of the forest's feature draws), from a stack: depth is not recursion-bound."""
+    root = TreeNode()
+    stack = [(root, X, y, 0)]
+    while stack:
+        node, X, y, depth = stack.pop()
+        f = -1
+        if depth < max_depth and np.unique(y).shape[0] > 1:
+            d = X.shape[1]
+            if max_features is not None and max_features < d:
+                features = np.array(sorted(rng.sample_indices(d, max_features)))
+            else:
+                features = np.arange(d)
+            f, thr, _ = best_split(X, y, features, min_leaf)
+        if f < 0:
+            node.label = _majority(y)
+            continue
+        # zero-gain splits are taken on impure nodes: parity-style interactions
+        # (e.g. XOR) only pay off a level deeper
+        mask = X[:, f] <= thr
+        node.feature, node.threshold = f, thr
+        node.left, node.right = TreeNode(), TreeNode()
+        stack += [(node.right, X[~mask], y[~mask], depth + 1),
+                  (node.left, X[mask], y[mask], depth + 1)]
+    return root
 
 
 def fit_tree(data: LabeledMatrix, max_depth: int = TREE_MAX_DEPTH,
              min_leaf: int = TREE_MIN_LEAF) -> TreeModel:
     if max_depth < 1 or min_leaf < 1:
         raise ConfigError("tree params out of range")
-    root = _grow_tree(data.X.astype(float), data.y, 0, max_depth, min_leaf,
-                      None, None)
+    root = _grow_tree(data.X.astype(float), data.y, max_depth, min_leaf, None, None)
     return TreeModel(root, data.X.shape[1])
 
 
@@ -382,7 +387,7 @@ def fit_forest(data: LabeledMatrix, n_trees: int = FOREST_TREES,
             Xb, yb = X[idx], data.y[idx]
         else:
             Xb, yb = X, data.y
-        root = _grow_tree(Xb, yb, 0, max_depth, min_leaf, rng, m_feats)
+        root = _grow_tree(Xb, yb, max_depth, min_leaf, rng, m_feats)
         trees.append(TreeModel(root, d))
     n_classes = int(data.y.max()) + 1
     return ForestModel(trees, d, n_classes)

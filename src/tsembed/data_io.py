@@ -103,6 +103,17 @@ def open_text(path: str):
         raise ParseError(f"{path}: not UTF-8 ({e.reason})") from None
 
 
+def csv_records(path: str, lines, first_line: int = 1):
+    """(line number, fields) per CSV record, counted from first_line; a record
+    csv.reader refuses (an overlong field, NUL before Python 3.11) is a ParseError."""
+    line_no = first_line - 1
+    try:
+        for line_no, row in enumerate(csv.reader(lines), start=first_line):
+            yield line_no, row
+    except csv.Error as e:  # raised reading the record after line_no
+        raise ParseError(f"{path} line {line_no + 1}: {e}") from None
+
+
 def _parse_float(text: str, line_no: int) -> float:
     try:
         value = float(text)
@@ -206,22 +217,22 @@ def _long_columns(path: str) -> TimeSeriesDataset | None:
 def load_long_csv(path: str) -> TimeSeriesDataset:
     """Load the long layout; any row order is accepted, grids must be complete."""
     with open_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = csv_records(path, fh)
+        _, header = next(records, (1, None))
         if header != list(_LONG_DTYPE.names):
             raise ParseError(f"{path}: unexpected long CSV header {header}")
-        ds = _long_columns(path) or _long_rows(path, reader)
+        ds = _long_columns(path) or _long_rows(path, records)
     ds.validate()
     return ds
 
 
-def _long_rows(path: str, reader) -> TimeSeriesDataset:
+def _long_rows(path: str, rows) -> TimeSeriesDataset:
     """The row loop: the long layout's data rows, one at a time."""
     alphabet = _LabelAlphabet()
     # series_id -> (group, {(channel, t): value}, {t: label_id})
     acc: dict[str, tuple[str, dict, dict]] = {}
     order: list[str] = []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != 6:
@@ -300,7 +311,7 @@ def load_wide_csv(path: str, channels: int | None = None) -> TimeSeriesDataset:
         if n_ch < 1:
             raise ConfigError(f"{path}: channel count must be >= 1, got {n_ch}")
 
-        header = next(csv.reader([header_line]), None)
+        _, header = next(csv_records(path, [header_line], line_no), (line_no, None))
         if header is None or header[:3] != ["series_id", "group", "label"]:
             raise ParseError(f"line {line_no}: unexpected wide CSV header")
         n_values = len(header) - 3
@@ -314,7 +325,7 @@ def load_wide_csv(path: str, channels: int | None = None) -> TimeSeriesDataset:
                              f"channel-major c<c>_t<t> layout")
 
         ds = (_wide_columns(path, line_no, n_ch, T)
-              or _wide_rows(path, csv.reader(fh), line_no, len(header), n_ch, T))
+              or _wide_rows(path, csv_records(path, fh, line_no + 1), len(header), n_ch, T))
     ds.validate()
     return ds
 
@@ -335,12 +346,11 @@ def _wide_columns(path: str, skiprows: int, n_ch: int, T: int) -> TimeSeriesData
     return TimeSeriesDataset(records, n_ch, alphabet)
 
 
-def _wide_rows(path: str, reader, line_no: int, n_fields: int, n_ch: int,
-               T: int) -> TimeSeriesDataset:
+def _wide_rows(path: str, rows, n_fields: int, n_ch: int, T: int) -> TimeSeriesDataset:
     """The row loop: the wide layout's data rows, one at a time."""
     alphabet = _LabelAlphabet()
     records = []
-    for row_no, row in enumerate(reader, start=line_no + 1):
+    for row_no, row in rows:
         if not row:
             continue
         if len(row) != n_fields:

@@ -19,9 +19,9 @@ per-point loop's order (a BLAS distance estimate, an error margin, then exact
 re-ranking of the candidates), so the tie contract is unchanged. The weight
 systems of all points are solved as one batch by numcore.linear_solve_batched,
 bit-identical to per-point solves and raising the first point's NumericError.
-What remains dense is the spectral step: the n_s x n_s matrices W and M and a
-full eigendecomposition of M, O(n_s^2) memory and O(n_s^3) time; that is
-LLE's documented size cap.
+The model keeps K neighbours and weights per point; only lle_fit's spectral
+step is dense: the n_s x n_s matrices W and M and a full eigendecomposition
+of M, O(n_s^2) memory and O(n_s^3) time, LLE's documented size cap.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class LleModel:
     train_points: np.ndarray
     K: int
     reg: float
-    weights: np.ndarray      # (n_s, n_s) reconstruction weight rows
+    neighbors: np.ndarray    # (n_s, K) training neighbours of each training point
+    weights: np.ndarray      # (n_s, K) their reconstruction weights
     embedding: np.ndarray    # (n_s, d)
     eigenvalues: np.ndarray  # the d eigenvalues matching the embedding columns
 
@@ -136,7 +137,7 @@ def lle_fit(X: np.ndarray, K: int, d: int, reg: float = 1e-3) -> LleModel:
     ascending_vals = eig.eigenvalues[::-1]
     ascending_vecs = eig.eigenvectors[:, ::-1]
     embedding = ascending_vecs[:, 1:d + 1] * np.sqrt(n_s)
-    return LleModel(X.copy(), K, reg, W, embedding, ascending_vals[1:d + 1].copy())
+    return LleModel(X.copy(), K, reg, nbrs, weights, embedding, ascending_vals[1:d + 1].copy())
 
 
 def lle_transform(model: LleModel, x: np.ndarray) -> np.ndarray:

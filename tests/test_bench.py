@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 import tsembed
 from batches import window_batch
+from grid_reference import _cv_accuracy as cv_accuracy_reference
+from grid_reference import _run_cell as run_cell_reference
 from test_classify import predict_knn_reference
 from test_embed_subspace import lle_fit_reference, lle_transform_reference
 from tsembed import bench, classify
-from tsembed.bench import (CellResult, DatasetCfg, EmbeddingCfg, _cv_accuracy,
-                           _expand_grid, _load_splits, _run_cell, average_rank,
-                           dump_embeddings, emit_reports, load_config,
-                           make_embedder, parse_config, read_accuracy_csv,
-                           run_grid, time_cell)
+from tsembed.bench import (CellResult, DatasetCfg, EmbeddingCfg, _expand_grid, _folds,
+                           _load_splits, _run_cell, average_rank, dump_embeddings,
+                           emit_reports, load_config, make_embedder, parse_config,
+                           read_accuracy_csv, run_grid)
 from tsembed.data_io import save_wide_csv
 from tsembed.errors import ConfigError, DataError, ParseError
 from tsembed.synthgen import SynthSpec, generate
@@ -453,18 +454,20 @@ def test_cv_accuracy_deterministic():
     X = np.concatenate([rng.normal(0, 0.4, (15, 2)),
                         rng.normal(4, 0.4, (15, 2))])
     y = np.array([0] * 15 + [1] * 15, dtype=np.int64)
-    a1 = _cv_accuracy("knn", {"k": 3}, X, y, seed=9)
-    a2 = _cv_accuracy("knn", {"k": 3}, X, y, seed=9)
-    assert a1 == a2
-    assert a1 >= 0.9
-
-
-def test_time_cell_runs_each_closure_once():
-    calls = {"fit": 0, "infer": 0}
-    fit_s, infer_s = time_cell(lambda: calls.__setitem__("fit", calls["fit"] + 1),
-                               lambda: calls.__setitem__("infer", calls["infer"] + 1))
-    assert calls == {"fit": 1, "infer": 1}
-    assert fit_s >= 0.0 and infer_s >= 0.0
+    folds = _folds(X, y, None, None, seed=9)
+    again = _folds(X, y, np.empty((0, 2)), y[:0], seed=9)
+    assert len(folds) == 5
+    for (part, X_held, y_held), (part2, X_held2, y_held2) in zip(folds, again):
+        assert part.X.tobytes() == part2.X.tobytes() and X_held.tobytes() == X_held2.tobytes()
+        assert part.y.tobytes() == part2.y.tobytes() and y_held.tobytes() == y_held2.tobytes()
+    # each row is held out once; the mean over folds is the reference CV score
+    assert sorted(map(tuple, np.concatenate([f[1] for f in folds]))) == sorted(map(tuple, X))
+    accs = [classify.accuracy(classify.predict(classify.fit("knn", part, {"k": 3}), X_held),
+                              y_held) for part, X_held, y_held in folds]
+    assert float(np.mean(accs)) == cv_accuracy_reference("knn", {"k": 3}, X, y, seed=9)
+    assert float(np.mean(accs)) >= 0.9
+    with pytest.raises(ConfigError, match="cross-validation impossible"):
+        _folds(X[:1], y[:1], None, None, seed=9)
 
 
 # ------------------------------------------------------------ split loading
@@ -665,6 +668,53 @@ def test_run_grid_cv_path_equals_reference_loops(tmp_path, monkeypatch):
     assert reports(tmp_path / "reference") == fast
     assert {"predict_knn_reference", "lle_fit_reference",
             "lle_transform_reference"} <= set(calls)
+
+
+@pytest.mark.parametrize("ratios", [[0.5, 0.25, 0.25], [0.75, 0.0, 0.25]],
+                         ids=["validation", "cross-validation"])
+def test_run_grid_selection_equals_reference(tones_csv, tmp_path, monkeypatch, ratios):
+    # one selection loop against the per-combo selection it replaced, which
+    # refit the winner even where the validation split had scored that fit
+    obj = base_config(tones_csv, tmp_path, classifiers=[
+        {"kind": "knn", "grid": {"k": [1, 3, 5]}},
+        {"kind": "tree", "grid": {"max_depth": [1, 2, 8]}},
+        {"kind": "forest", "params": {"n_trees": 3}, "grid": {"max_depth": [2, 4]}},
+        {"kind": "mlp", "params": {"hidden": 4, "epochs": 5}},
+    ])
+    obj["datasets"][0]["ratios"] = ratios
+
+    def reports(out_dir):
+        report = run_grid(parse_config(obj))
+        assert all(c.status == "ok" for c in report.cells)
+        emit_reports(report, str(out_dir))
+        return {name: (out_dir / name).read_bytes()
+                for name in ("cells.csv", "summary.csv", "ranks.csv", "manifest.json")}
+
+    fits = []
+    fit, run_cell = classify.fit, bench._run_cell
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[0])
+        return fit(*args, **kwargs)
+
+    def counting_run_cell(dataset, embedding, clf, Xtr, ytr, Xval, yval, *rest):
+        before = len(fits)
+        cell = run_cell(dataset, embedding, clf, Xtr, ytr, Xval, yval, *rest)
+        combos = len(_expand_grid(clf.grid))
+        if Xval is not None and len(Xval):
+            assert len(fits) - before == combos, clf.name
+        else:
+            assert len(fits) - before == min(5, len(Xtr)) * combos + 1, clf.name
+        counted.append(clf.name)
+        return cell
+
+    counted = []
+    monkeypatch.setattr(classify, "fit", counting_fit)
+    monkeypatch.setattr(bench, "_run_cell", counting_run_cell)
+    fast = reports(tmp_path / "fast")
+    assert len(counted) == 2 * 4
+    monkeypatch.setattr(bench, "_run_cell", run_cell_reference)
+    assert reports(tmp_path / "reference") == fast
 
 
 def test_run_grid_rejects_oversized_windows(tones_csv, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pointsets import point_sets
 from tsembed import classify, numcore
-from tsembed.classify import (CLASSIFIER_KINDS, LabeledMatrix, accuracy,
+from tsembed.classify import (CLASSIFIER_KINDS, LabeledMatrix, TreeNode, accuracy,
                               best_split, fit, fit_forest, fit_gnb, fit_knn,
                               fit_logreg, fit_mlp, fit_tree, gnb_posteriors,
                               predict)
@@ -421,6 +421,85 @@ def test_forest_grown_with_reference_split_is_identical(data_min_leaf, seed):
     np.testing.assert_array_equal(predict(forest, probe), predict(reference, probe))
     np.testing.assert_array_equal(predict(forest, data.X), predict(reference, data.X))
     assert forest == reference
+
+
+def grow_tree_reference(X, y, depth, max_depth, min_leaf, rng, max_features):
+    """The recursive grower that classify._grow_tree's explicit stack replaced."""
+    if depth >= max_depth or np.unique(y).shape[0] == 1:
+        return TreeNode(label=classify._majority(y))
+    d = X.shape[1]
+    if max_features is not None and max_features < d:
+        features = np.array(sorted(rng.sample_indices(d, max_features)))
+    else:
+        features = np.arange(d)
+    f, thr, _ = classify.best_split(X, y, features, min_leaf)
+    if f < 0:
+        return TreeNode(label=classify._majority(y))
+    mask = X[:, f] <= thr
+    left = grow_tree_reference(X[mask], y[mask], depth + 1, max_depth, min_leaf,
+                               rng, max_features)
+    right = grow_tree_reference(X[~mask], y[~mask], depth + 1, max_depth, min_leaf,
+                                rng, max_features)
+    return TreeNode(feature=f, threshold=thr, left=left, right=right)
+
+
+def grow_reference(X, y, max_depth, min_leaf, rng, max_features):
+    return grow_tree_reference(X, y, 0, max_depth, min_leaf, rng, max_features)
+
+
+def same_tree(a, b):
+    """Node-for-node equality by an explicit walk (dataclass == recurses)."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if (a is None) != (b is None):
+            return False
+        if a is None:
+            continue
+        if (type(a.feature), a.feature, a.threshold, a.label) != \
+                (type(b.feature), b.feature, b.threshold, b.label):
+            return False
+        stack += [(a.left, b.left), (a.right, b.right)]
+    return True
+
+
+def tree_depth(node):
+    depth, stack = 0, [(node, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if node.feature >= 0:
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_data(), st.integers(1, 8), st.integers(0, 1000))
+def test_tree_and_forest_equal_recursive_grower(data_min_leaf, max_depth, seed):
+    data, min_leaf = data_min_leaf
+    tree = fit_tree(data, max_depth=max_depth, min_leaf=min_leaf)
+    with patched("_grow_tree", grow_reference):
+        reference = fit_tree(data, max_depth=max_depth, min_leaf=min_leaf)
+    assert tree == reference
+    params = dict(n_trees=3, max_depth=max_depth, min_leaf=min_leaf, seed=seed)
+    forest = fit_forest(data, **params)
+    with patched("_grow_tree", grow_reference):
+        reference = fit_forest(data, **params)
+    assert forest == reference   # the same feature draws, node for node
+
+
+def test_deep_tree_grows_without_recursion():
+    # alternating labels on a line: every split peels off one row
+    X, y = np.arange(600.0)[:, None], np.arange(600) % 2
+    tree = classify.fit("tree", LabeledMatrix(X, y), {"max_depth": 100000})
+    assert tree_depth(tree.root) == 599
+    assert same_tree(tree.root, grow_reference(X, y, 100000, 1, None, None))
+    X, y = np.arange(3000.0)[:, None], np.arange(3000) % 2
+    tree = classify.fit("tree", LabeledMatrix(X, y), {"max_depth": 100000})
+    assert tree_depth(tree.root) == 2999   # past the default recursion limit
+    np.testing.assert_array_equal(predict(tree, X), y)
+    shallow = classify.fit("tree", LabeledMatrix(X, y), {"max_depth": 40})
+    assert tree_depth(shallow.root) == 40
 
 
 def _internal_nodes(node):

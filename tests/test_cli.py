@@ -121,6 +121,19 @@ def test_dataset_csv_that_is_not_utf8_is_one_error_line(tmp_path):
                           "--dataset", "toy"), str(data_csv), "not UTF-8")
 
 
+def test_csv_field_over_the_limit_is_one_error_line(tmp_path):
+    data_csv = make_data(tmp_path)
+    with open(data_csv, "a") as fh:
+        fh.write("s,g," + "x" * 131073 + "\n")
+    cfg_path = write_config(tmp_path, data_csv)
+    one_error_line(invoke("run", "--config", str(cfg_path)), str(data_csv),
+                   "field larger than field limit")
+    acc = tmp_path / "acc.csv"
+    acc.write_text("dataset,a,b\nd1,0.9,0.1\nd2," + "9" * 131073 + ",0.8\n")
+    one_error_line(invoke("rank", "--accuracies", str(acc)), f"{acc} line 3",
+                   "field larger than field limit")
+
+
 def test_output_dir_that_is_a_file_fails_before_the_grid(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, make_data(tmp_path))
     (tmp_path / "out").write_text("not a directory")

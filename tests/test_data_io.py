@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from csv_reference import load_long_csv_reference, load_wide_csv_reference
@@ -225,20 +227,50 @@ def test_each_column_check_falls_back_to_the_row_loop(tmp_path, name):
 
 
 def test_field_over_the_csv_limit_goes_to_the_row_loop(tmp_path):
-    path = write(tmp_path / "l.csv", LONG_HEADER + "a,g,0,0,1.0," + "x" * 131073 + "\n")
+    # the row loop's csv.reader refuses the field: one ParseError naming the line
+    over = "x" * 131073
+    path = write(tmp_path / "l.csv", LONG_HEADER + "a,g,0,0,1.0,y\na,g,0,1,1.0," + over + "\n")
     assert _long_columns(path) is None
+    expected = (ParseError, f"{path} line 3: field larger than field limit (131072)")
+    assert outcome(load_long_csv, path) == outcome(load_long_csv_reference, path) == expected
+    wide = "# channels=1\nseries_id,group,label,c0_t0\n"
+    for text, line in [(wide + "a,g,y,1.0\nb,g," + over + ",2.0\n", 4),
+                       (wide.replace("label", over), 2)]:
+        path = write(tmp_path / "w.csv", text)
+        expected = (ParseError, f"{path} line {line}: field larger than field limit (131072)")
+        assert (outcome(load_wide_csv, path) == outcome(load_wide_csv_reference, path)
+                == expected)
+    path = write(tmp_path / "h.csv", over + ",series_id\n")
     assert outcome(load_long_csv, path) == outcome(load_long_csv_reference, path)
 
 
 def outcome(load, *args):
-    """What a loader makes of a file: the dataset's content, or its exception."""
+    """What a loader makes of a file: the dataset's content, or its exception.
+
+    The reference loaders let csv.Error out of csv.reader; the loaders must
+    raise ParseError("<path> line N: ...") for it, N counting records as lines.
+    """
     try:
         ds = load(*args)
+    except csv.Error as e:
+        assert load in (load_long_csv_reference, load_wide_csv_reference), repr(e)
+        return ParseError, f"{args[0]} line {_csv_error_line(args[0])}: {e}"
     except Exception as e:  # any exception must be the reference's, message and all
         return type(e), str(e)
     return (ds.n_channels, ds.label_alphabet,
             [(r.series_id, r.group, r.values.shape, r.values.strides, r.values.tobytes(),
               r.labels.tobytes()) for r in ds.series])
+
+
+def _csv_error_line(path):
+    """The number of the record csv.reader stops on, the header being line 1."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        line_no = 1
+        try:
+            for _ in csv.reader(fh):
+                line_no += 1
+        except csv.Error:
+            return line_no
 
 
 # Field texts that one reader or the other treats differently from a plain

@@ -112,12 +112,20 @@ def test_pca_transform_shape_mismatch():
 
 # ------------------------------------------------------------ lle
 
+def dense_weights(model):
+    """The n_s x n_s weight matrix W of a model's neighbours and their weights."""
+    n_s = model.train_points.shape[0]
+    W = np.zeros((n_s, n_s))
+    W[np.arange(n_s)[:, None], model.neighbors] = model.weights
+    return W
+
+
 def test_lle_midpoint_weights():
     # query at the midpoint of two neighbors reconstructs with weights 1/2
     X = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0],
                   [0.0, 5.0], [2.0, 5.0], [1.0, 5.0]])
     model = lle_fit(X, K=2, d=1, reg=1e-6)
-    w = model.weights[2]
+    w = dense_weights(model)[2]
     assert w[0] == pytest.approx(0.5, abs=1e-3)
     assert w[1] == pytest.approx(0.5, abs=1e-3)
 
@@ -125,10 +133,11 @@ def test_lle_midpoint_weights():
 def test_lle_weight_rows_sum_to_one():
     X = gauss_matrix(21, 30, 4)
     model = lle_fit(X, K=6, d=2)
-    sums = model.weights.sum(axis=1)
-    np.testing.assert_allclose(sums, np.ones(30), atol=1e-9)
+    assert model.neighbors.shape == model.weights.shape == (30, 6)
+    W = dense_weights(model)
+    np.testing.assert_allclose(W.sum(axis=1), np.ones(30), atol=1e-9)
     # exactly K nonzero weights per row
-    assert all(np.count_nonzero(model.weights[i]) <= 6 for i in range(30))
+    assert all(np.count_nonzero(W[i]) <= 6 for i in range(30))
 
 
 def test_lle_embedding_shape_and_centering():
@@ -143,7 +152,7 @@ def test_lle_embedding_satisfies_eigen_equation():
     X = gauss_matrix(25, 25, 4)
     model = lle_fit(X, K=5, d=2)
     I = np.eye(25)
-    M = (I - model.weights).T @ (I - model.weights)
+    M = (I - dense_weights(model)).T @ (I - dense_weights(model))
     for j in range(2):
         v = model.embedding[:, j] / np.sqrt(25)
         np.testing.assert_allclose(M @ v, model.eigenvalues[j] * v, atol=1e-8)
@@ -183,7 +192,7 @@ def test_lle_translation_invariant_weights():
     X = gauss_matrix(29, 25, 4)
     m1 = lle_fit(X, K=5, d=2)
     m2 = lle_fit(X + 100.0, K=5, d=2)
-    np.testing.assert_allclose(m1.weights, m2.weights, atol=1e-6)
+    np.testing.assert_allclose(dense_weights(m1), dense_weights(m2), atol=1e-6)
 
 
 def test_lle_transform_batch():
@@ -214,7 +223,7 @@ def test_lle_neighbor_ties_lower_index():
     X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
                   [5.0, 5.0], [9.0, 9.0]])
     model = lle_fit(X, K=2, d=1)
-    nz = np.nonzero(model.weights[0])[0]
+    nz = np.nonzero(dense_weights(model)[0])[0]
     np.testing.assert_array_equal(nz, [1, 2])
 
 
@@ -255,17 +264,21 @@ def lle_fit_reference(X, K, d, reg=1e-3):
     """The per-point loop: one neighbour sort and one weight solve per row."""
     X = np.asarray(X, dtype=float)
     n_s = X.shape[0]
+    neighbors = np.empty((n_s, K), dtype=np.int64)
+    weights = np.empty((n_s, K))
     W = np.zeros((n_s, n_s))
     for i in range(n_s):
-        nbrs = _neighbor_indices(X[i], X, K, exclude=i)
-        W[i, nbrs] = _reconstruction_weights(X[i], X[nbrs], reg)
+        neighbors[i] = _neighbor_indices(X[i], X, K, exclude=i)
+        weights[i] = _reconstruction_weights(X[i], X[neighbors[i]], reg)
+        W[i, neighbors[i]] = weights[i]
     I = np.eye(n_s)
     M = (I - W).T @ (I - W)
     eig = symmetric_eig(M)
     ascending_vals = eig.eigenvalues[::-1]
     ascending_vecs = eig.eigenvectors[:, ::-1]
     embedding = ascending_vecs[:, 1:d + 1] * np.sqrt(n_s)
-    return LleModel(X.copy(), K, reg, W, embedding, ascending_vals[1:d + 1].copy())
+    return LleModel(X.copy(), K, reg, neighbors, weights, embedding,
+                    ascending_vals[1:d + 1].copy())
 
 
 def lle_transform_reference(model, x):
@@ -304,8 +317,9 @@ def assert_lle_equals_reference(X, queries, K, d):
         assert str(got.value) == str(e)
         return
     model = lle_fit(X, K, d)
-    for name in ("weights", "embedding", "eigenvalues"):
+    for name in ("neighbors", "weights", "embedding", "eigenvalues"):
         assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert dense_weights(model).tobytes() == dense_weights(ref).tobytes()
     try:
         expected = lle_transform_reference(ref, queries)
     except NumericError as e:
