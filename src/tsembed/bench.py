@@ -402,24 +402,18 @@ def _load_splits(ds: DatasetCfg, master_seed: int):
             full = load_dataset(ds.path, ds.format, ds.channels)
             seed = derive_seed(master_seed, ds.name, "split")
             return split_by_group(full, ds.ratios, seed)
-        parts = []
-        alphabet: list[str] = []
-        seen: dict[str, int] = {}
         loaded = [load_dataset(p, ds.format, ds.channels)
                   for p in (ds.train_path, ds.val_path, ds.test_path)]
+        if len({part.n_channels for part in loaded}) != 1:
+            raise ConfigError("split files disagree on channel count")
+        alphabet: dict[str, int] = {}  # label token -> first-appearance id over the files
         for part in loaded:
-            for token in part.label_alphabet:
-                if token not in seen:
-                    seen[token] = len(alphabet)
-                    alphabet.append(token)
-        for part in loaded:
-            remap = np.array([seen[t] for t in part.label_alphabet], dtype=np.int64)
+            remap = np.array([alphabet.setdefault(t, len(alphabet)) for t in part.label_alphabet],
+                             dtype=np.int64)
             for rec in part.series:
                 rec.labels = remap[rec.labels]
-            parts.append(TimeSeriesDataset(part.series, part.n_channels, list(alphabet)))
-        if len({p.n_channels for p in parts}) != 1:
-            raise ConfigError("split files disagree on channel count")
-        return tuple(parts)
+        return tuple(TimeSeriesDataset(part.series, part.n_channels, list(alphabet))
+                     for part in loaded)
     except TsembedError as e:
         raise type(e)(f"dataset {ds.name!r}: {e}") from None
     except OSError as e:

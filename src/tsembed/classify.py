@@ -25,6 +25,7 @@ parameters raise ConfigError. predict(model, X) accepts any fitted model.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -36,18 +37,9 @@ from .errors import ConfigError, ShapeError
 from .numcore import nearest_neighbors
 from .rng import Xoshiro256StarStar, derive_seed
 
-GNB_VAR_FLOOR = 1e-9
-LOGREG_L2 = 1e-4
-LOGREG_MAX_ITER = 500
-LOGREG_TOL = 1e-6
-LOGREG_LR = 0.5
-TREE_MAX_DEPTH = 12
+TREE_MAX_DEPTH = 12  # tree and forest defaults
 TREE_MIN_LEAF = 1
 SPLIT_BLOCK_ELEMENTS = 1 << 20   # cap on n * features * classes per block
-FOREST_TREES = 100
-MLP_HIDDEN = 64
-MLP_EPOCHS = 200
-MLP_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,7 @@ def _predict_knn(model: KnnModel, X: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- gnb
 
-def fit_gnb(data: LabeledMatrix, var_floor: float = GNB_VAR_FLOOR) -> GnbModel:
+def fit_gnb(data: LabeledMatrix, var_floor: float = 1e-9) -> GnbModel:
     if var_floor <= 0:
         raise ConfigError(f"variance floor must be positive, got {var_floor}")
     classes = np.unique(data.y)
@@ -164,30 +156,21 @@ def fit_gnb(data: LabeledMatrix, var_floor: float = GNB_VAR_FLOOR) -> GnbModel:
     return GnbModel(classes, means, variances, np.log(priors))
 
 
-def _gnb_log_joint(model: GnbModel, X: np.ndarray) -> np.ndarray:
+def _predict_gnb(model: GnbModel, X: np.ndarray) -> np.ndarray:
     X = _check_features(X, model.means.shape[1])
     diff = X[:, None, :] - model.means[None, :, :]
     log_like = -0.5 * np.sum(
         np.log(2.0 * np.pi * model.variances)[None, :, :]
         + diff * diff / model.variances[None, :, :], axis=2)
-    return log_like + model.log_priors[None, :]
-
-
-def _predict_gnb(model: GnbModel, X: np.ndarray) -> np.ndarray:
-    joint = _gnb_log_joint(model, X)
+    joint = log_like + model.log_priors[None, :]
     return model.classes[np.argmax(joint, axis=1)]
-
-
-def gnb_posteriors(model: GnbModel, X: np.ndarray) -> np.ndarray:
-    """Class posterior rows (summing to 1), columns ordered like model.classes."""
-    return softmax(_gnb_log_joint(model, X))
 
 
 # ---------------------------------------------------------------- logreg
 
-def fit_logreg(data: LabeledMatrix, l2: float = LOGREG_L2,
-               max_iter: int = LOGREG_MAX_ITER, tol: float = LOGREG_TOL,
-               lr: float = LOGREG_LR) -> LogRegModel:
+def fit_logreg(data: LabeledMatrix, l2: float = 1e-4,
+               max_iter: int = 500, tol: float = 1e-6,
+               lr: float = 0.5) -> LogRegModel:
     """Softmax regression by full-batch gradient descent.
 
     The loss is mean cross-entropy plus l2 * ||W||^2 (bias unregularized).
@@ -360,7 +343,7 @@ def _predict_tree(model: TreeModel, X: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- forest
 
-def fit_forest(data: LabeledMatrix, n_trees: int = FOREST_TREES,
+def fit_forest(data: LabeledMatrix, n_trees: int = 100,
                max_depth: int = TREE_MAX_DEPTH, min_leaf: int = TREE_MIN_LEAF,
                bootstrap: bool = True, max_features: int | str | None = None,
                seed: int = 0) -> ForestModel:
@@ -404,8 +387,8 @@ def _predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- mlp
 
-def fit_mlp(data: LabeledMatrix, hidden: int = MLP_HIDDEN,
-            epochs: int = MLP_EPOCHS, batch: int = MLP_BATCH,
+def fit_mlp(data: LabeledMatrix, hidden: int = 64,
+            epochs: int = 200, batch: int = 64,
             seed: int = 0) -> MlpModel:
     """One-hidden-layer softmax network trained with Adam on cross-entropy."""
     if hidden < 1 or epochs < 0 or batch < 1:
@@ -442,19 +425,6 @@ def _predict_mlp(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- facade
 
-_DEFAULTS: dict[str, dict] = {
-    "knn": {"k": 5},
-    "gnb": {"var_floor": GNB_VAR_FLOOR},
-    "logreg": {"l2": LOGREG_L2, "max_iter": LOGREG_MAX_ITER,
-               "tol": LOGREG_TOL, "lr": LOGREG_LR},
-    "tree": {"max_depth": TREE_MAX_DEPTH, "min_leaf": TREE_MIN_LEAF},
-    "forest": {"n_trees": FOREST_TREES, "max_depth": TREE_MAX_DEPTH,
-               "min_leaf": TREE_MIN_LEAF, "bootstrap": True,
-               "max_features": None, "seed": 0},
-    "mlp": {"hidden": MLP_HIDDEN, "epochs": MLP_EPOCHS, "batch": MLP_BATCH,
-            "seed": 0},
-}
-
 _FITTERS = {
     "knn": fit_knn,
     "gnb": fit_gnb,
@@ -463,6 +433,11 @@ _FITTERS = {
     "forest": fit_forest,
     "mlp": fit_mlp,
 }
+
+# kind -> {param: default}, read off each fitter's keyword defaults
+_DEFAULTS = {kind: {name: p.default for name, p in inspect.signature(fitter).parameters.items()
+                    if p.default is not p.empty}
+             for kind, fitter in _FITTERS.items()}
 
 CLASSIFIER_KINDS = tuple(sorted(_FITTERS))
 

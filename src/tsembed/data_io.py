@@ -12,8 +12,9 @@ wide CSV   optional first comment line ``# channels=C``; header
 
 Labels are arbitrary tokens in the files and are mapped to dense 0-based ids
 in first-appearance order (file order), so the mapping depends only on file
-content. Splitting assigns whole groups to train/val/test, never splitting a
-group across sides.
+content: a dict grows by ``ids.setdefault(token, len(ids))``, or ``_codes``
+does the same over a column. Splitting assigns whole groups to
+train/val/test, never splitting a group across sides.
 
 Both loaders first read the data rows as columns with numpy's C text reader
 and check them as arrays (long CSV: one sort by series, t and channel shows
@@ -22,6 +23,8 @@ duplicates, gaps, conflicting labels and second groups). The row loop
 quote-free ASCII, when numpy cannot parse a field, and on any value or grid
 the row loop would reject. It is the only code that raises parse and schema
 errors, so their messages and line numbers do not depend on the path taken.
+load_dataset, the loader the benchmark calls, puts the file's path in front of
+any message that does not already start with it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, SchemaError
+from .errors import ConfigError, DataError, ParseError, SchemaError, TsembedError
 from .rng import Xoshiro256StarStar
 
 
@@ -77,20 +80,6 @@ class TimeSeriesDataset:
                 raise DataError(f"series {rec.series_id!r} contains NaN or Inf")
             if rec.labels.min() < 0 or rec.labels.max() >= len(self.label_alphabet):
                 raise DataError(f"series {rec.series_id!r} has label id outside alphabet")
-
-
-class _LabelAlphabet:
-    """Token -> dense id mapping in first-appearance order."""
-
-    def __init__(self) -> None:
-        self.tokens: list[str] = []
-        self._index: dict[str, int] = {}
-
-    def id_for(self, token: str) -> int:
-        if token not in self._index:
-            self._index[token] = len(self.tokens)
-            self.tokens.append(token)
-        return self._index[token]
 
 
 @contextmanager
@@ -228,7 +217,7 @@ def load_long_csv(path: str) -> TimeSeriesDataset:
 
 def _long_rows(path: str, rows) -> TimeSeriesDataset:
     """The row loop: the long layout's data rows, one at a time."""
-    alphabet = _LabelAlphabet()
+    alphabet: dict[str, int] = {}  # label token -> first-appearance id
     # series_id -> (group, {(channel, t): value}, {t: label_id})
     acc: dict[str, tuple[str, dict, dict]] = {}
     order: list[str] = []
@@ -243,7 +232,7 @@ def _long_rows(path: str, rows) -> TimeSeriesDataset:
         if channel < 0 or t < 0:
             raise SchemaError(f"line {line_no}: negative channel or t")
         value = _parse_float(val_s, line_no)
-        label_id = alphabet.id_for(label)
+        label_id = alphabet.setdefault(label, len(alphabet))
         if sid not in acc:
             acc[sid] = (group, {}, {})
             order.append(sid)
@@ -282,7 +271,7 @@ def _long_rows(path: str, rows) -> TimeSeriesDataset:
             values[t, c] = v
         label_arr = np.array([labels[t] for t in range(T)], dtype=np.int64)
         records.append(SeriesRecord(sid, group, values, label_arr))
-    return TimeSeriesDataset(records, n_channels or 0, alphabet.tokens)
+    return TimeSeriesDataset(records, n_channels or 0, list(alphabet))
 
 
 def load_wide_csv(path: str, channels: int | None = None) -> TimeSeriesDataset:
@@ -348,7 +337,7 @@ def _wide_columns(path: str, skiprows: int, n_ch: int, T: int) -> TimeSeriesData
 
 def _wide_rows(path: str, rows, n_fields: int, n_ch: int, T: int) -> TimeSeriesDataset:
     """The row loop: the wide layout's data rows, one at a time."""
-    alphabet = _LabelAlphabet()
+    alphabet: dict[str, int] = {}  # label token -> first-appearance id
     records = []
     for row_no, row in rows:
         if not row:
@@ -358,21 +347,24 @@ def _wide_rows(path: str, rows, n_fields: int, n_ch: int, T: int) -> TimeSeriesD
         sid, group, label = row[0], row[1], row[2]
         flat = np.array([_parse_float(v, row_no) for v in row[3:]])
         values = flat.reshape(n_ch, T).T  # channel-major flat -> (T, C)
-        label_id = alphabet.id_for(label)
-        labels = np.full(T, label_id, dtype=np.int64)
+        labels = np.full(T, alphabet.setdefault(label, len(alphabet)), dtype=np.int64)
         records.append(SeriesRecord(sid, group, values, labels))
 
     if not records:
         raise DataError(f"{path}: no series found")
-    return TimeSeriesDataset(records, n_ch, alphabet.tokens)
+    return TimeSeriesDataset(records, n_ch, list(alphabet))
 
 
 def load_dataset(path: str, fmt: str, channels: int | None = None) -> TimeSeriesDataset:
-    if fmt == "long_csv":
-        return load_long_csv(path)
-    if fmt == "wide_csv":
-        return load_wide_csv(path, channels)
-    raise ConfigError(f"unknown dataset format {fmt!r}")
+    """Load either layout; a TsembedError's message names path once, up front."""
+    if fmt not in ("long_csv", "wide_csv"):
+        raise ConfigError(f"unknown dataset format {fmt!r}")
+    try:
+        return load_long_csv(path) if fmt == "long_csv" else load_wide_csv(path, channels)
+    except TsembedError as e:
+        if str(e).startswith(path):
+            raise
+        raise type(e)(f"{path}: {e}") from None
 
 
 def save_wide_csv(ds: TimeSeriesDataset, path: str) -> None:

@@ -53,11 +53,6 @@ class VisibilityGraph:
     j: np.ndarray
     w: np.ndarray
 
-    @property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """The edges as (i, j, weight) tuples, in array order."""
-        return tuple(zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))
-
     def degree_array(self) -> np.ndarray:
         return (np.bincount(self.i, minlength=self.n_nodes)
                 + np.bincount(self.j, minlength=self.n_nodes))

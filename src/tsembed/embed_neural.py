@@ -223,11 +223,6 @@ def ae_embed(model: AutoencoderModel, windows: WindowBatch) -> np.ndarray:
     return h
 
 
-def ae_reconstruct(model: AutoencoderModel, windows: WindowBatch) -> np.ndarray:
-    recon, _ = net_forward(model.decoder_spec, model.decoder, ae_embed(model, windows))
-    return recon
-
-
 CHECKPOINT_FORMAT = "tsembed-ae-checkpoint-v1"
 
 

@@ -14,7 +14,9 @@ outside it), with the 1/sqrt(|a|) scale factor:
 
     CWT(a, b) = (1 / sqrt(a)) * sum_t x[t] * conj(psi((t - b) / a))
 
-wavelet_embed reduces each scale to a log energy log(1e-12 + sum_b |CWT|^2).
+wavelet_embed reduces each scale of a CwtConfig to a log energy
+log(1e-12 + sum_b |CWT|^2); the benchmark's wavelet method fills in the
+default dyadic scales when a config gives none.
 The pseudo-frequency of scale a is omega0 / (2*pi*a) cycles per sample, which
 is how a tone at frequency f peaks near a = omega0 / (2*pi*f).
 """
@@ -89,15 +91,9 @@ def cwt(x: np.ndarray, cfg: CwtConfig) -> np.ndarray:
     return np.stack(rows)
 
 
-def wavelet_embed(values: np.ndarray, cfg: CwtConfig | None = None) -> np.ndarray:
+def wavelet_embed(values: np.ndarray, cfg: CwtConfig) -> np.ndarray:
     """Per-channel, per-scale log energies of a (tau, C) window, channel-major
     then scale order."""
-    tau = values.shape[0]
-    if cfg is None:
-        scales = default_scales(tau)
-        if not scales:
-            raise ConfigError(f"window length {tau} too short for default scales")
-        cfg = CwtConfig(scales)
     parts = []
     for c in range(values.shape[1]):
         coeffs = cwt(values[:, c], cfg)

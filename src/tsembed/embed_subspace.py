@@ -1,5 +1,6 @@
 """Linear and locally linear subspace embeddings over flattened windows.
 
+Fits and transforms take 2-D stacks of flattened windows, one per row.
 PCA centers the training matrix, eigendecomposes the sample covariance
 (divisor n_s - 1), and projects onto the top-d eigenvectors. The component
 sign convention comes from the shared eigensolver, so repeated fits are
@@ -18,7 +19,7 @@ Neighbours come from numcore.nearest_neighbors, which returns exactly the
 per-point loop's order (a BLAS distance estimate, an error margin, then exact
 re-ranking of the candidates), so the tie contract is unchanged. The weight
 systems of all points are solved as one batch by numcore.linear_solve_batched,
-bit-identical to per-point solves and raising the first point's NumericError.
+which raises the NumericError of the first point whose system fails.
 The model keeps K neighbours and weights per point; only lle_fit's spectral
 step is dense: the n_s x n_s matrices W and M and a full eigendecomposition
 of M, O(n_s^2) memory and O(n_s^3) time, LLE's documented size cap.
@@ -65,15 +66,17 @@ def pca_fit(X: np.ndarray, d: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
-    """Project one vector or a stack of row vectors."""
+    """Project a (n, n_features) stack of rows."""
+    X = _check_rows(X, model.mean.shape[0])
+    return (X - model.mean) @ model.components.T
+
+
+def _check_rows(X: np.ndarray, n_features: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    rows = X.reshape(1, -1) if single else X
-    if rows.shape[1] != model.mean.shape[0]:
-        raise ShapeError(
-            f"input has {rows.shape[1]} features, model expects {model.mean.shape[0]}")
-    out = (rows - model.mean) @ model.components.T
-    return out[0] if single else out
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ShapeError(f"input shape {X.shape} does not match the model's "
+                         f"{n_features} features")
+    return X
 
 
 @dataclass(frozen=True)
@@ -140,15 +143,9 @@ def lle_fit(X: np.ndarray, K: int, d: int, reg: float = 1e-3) -> LleModel:
     return LleModel(X.copy(), K, reg, nbrs, weights, embedding, ascending_vals[1:d + 1].copy())
 
 
-def lle_transform(model: LleModel, x: np.ndarray) -> np.ndarray:
-    """Embed one vector or a stack of rows via reconstruction weights."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    rows = x.reshape(1, -1) if single else x
-    if rows.shape[1] != model.train_points.shape[1]:
-        raise ShapeError(
-            f"input has {rows.shape[1]} features, model expects "
-            f"{model.train_points.shape[1]}")
+def lle_transform(model: LleModel, X: np.ndarray) -> np.ndarray:
+    """Embed a (n, n_features) stack of rows via reconstruction weights."""
+    rows = _check_rows(X, model.train_points.shape[1])
     nbrs, dists = nearest_neighbors(rows, model.train_points, model.K)
     out = np.empty((rows.shape[0], model.embedding.shape[1]))
     # exact hit: the constrained problem's minimizer is weight 1 there
@@ -157,4 +154,4 @@ def lle_transform(model: LleModel, x: np.ndarray) -> np.ndarray:
     miss = ~hit
     w = _reconstruction_weights(rows[miss], model.train_points, nbrs[miss], model.reg)
     out[miss] = (w[:, None, :] @ model.embedding[nbrs[miss]])[:, 0]
-    return out[0] if single else out
+    return out

@@ -1,11 +1,11 @@
 """Shared numerical kernels: eigendecomposition, linear solves, neighbours.
 
 The eigendecomposition delegates to numpy's LAPACK binding and adds the
-contractual ordering and sign conventions on top. The linear solver
-is a plain LU factorization with partial pivoting so failures can report the
-exact pivot that collapsed, which library solvers do not surface;
-linear_solve_batched runs a stack of such systems with the same float
-operations per system.
+contractual ordering and sign conventions on top. linear_solve_batched solves
+a stack of systems by plain LU factorization with partial pivoting, so a
+failure can report the exact pivot that collapsed, which library solvers do
+not surface; the one-system loop it replaced is the oracle in
+tests/solve_reference.py.
 
 nearest_neighbors is the exact k-nearest-neighbour search behind kNN and LLE.
 Its contract is a per-query loop: sort np.linalg.norm(train - q, axis=1)
@@ -66,59 +66,21 @@ def symmetric_eig(A: np.ndarray) -> EigenResult:
     return EigenResult(values, vectors)
 
 
-def linear_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by LU with partial pivoting.
-
-    Raises NumericError naming the pivot column when the matrix is singular
-    or the diagonal-ratio condition estimate max|u_kk|/min|u_kk| exceeds 1e12.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    if b.shape[0] != n:
-        raise ShapeError(f"right-hand side length {b.shape[0]} != {n}")
-
-    squeeze = b.ndim == 1
-    U = A.copy()
-    rhs = b.reshape(n, -1).astype(float).copy()
-    scale = max(1.0, float(np.max(np.abs(A)))) if A.size else 1.0
-    tiny = np.finfo(float).eps * n * scale
-
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(U[k:, k])))
-        pivot = U[p, k]
-        if abs(pivot) <= tiny:
-            raise NumericError(
-                f"singular system: pivot {pivot:.3e} at column {k} below threshold")
-        if p != k:
-            U[[k, p]] = U[[p, k]]
-            rhs[[k, p]] = rhs[[p, k]]
-        factors = U[k + 1:, k] / pivot
-        U[k + 1:, k:] -= np.outer(factors, U[k, k:])
-        rhs[k + 1:] -= np.outer(factors, rhs[k])
-
-    diag = np.abs(np.diag(U))
-    worst = int(np.argmin(diag))
-    if diag.max() / diag[worst] > _CONDITION_LIMIT:
-        raise NumericError(
-            f"ill-conditioned system: pivot {U[worst, worst]:.3e} at column {worst} "
-            f"gives condition estimate above 1e12")
-
-    x = np.zeros_like(rhs)
-    for k in range(n - 1, -1, -1):
-        x[k] = (rhs[k] - U[k, k + 1:] @ x[k + 1:]) / U[k, k]
-    return x[:, 0] if squeeze else x
-
-
 def linear_solve_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the stack of systems A[s] x[s] = b[s]; A is (m, n, n), b is (m, n).
 
-    Every system goes through linear_solve's float operations in the same
-    order, so x[s] equals linear_solve(A[s], b[s]) bit for bit. When systems
-    fail, the NumericError raised is the one linear_solve raises for the
-    lowest failing index.
+    Each system is LU-factored with partial pivoting: at column k the pivot
+    row is the first row at or below k with the largest |entry| in that
+    column. A pivot with |pivot| <= tiny = eps * n * max(1, max |A[s]|) makes
+    the system singular, raising NumericError("singular system: pivot <p> at
+    column <k> below threshold"). After elimination, a system whose
+    diagonal-ratio condition estimate max |u_kk| / min |u_kk| exceeds 1e12
+    raises NumericError("ill-conditioned system: pivot <u_ww> at column <w>
+    gives condition estimate above 1e12"), w the first column of the smallest
+    |u_kk|. Pivots print as %.3e. When several systems fail, the error raised
+    is the one of the lowest failing index. Every system goes through the
+    same float operations in the same order as a solve of that system alone,
+    so a stack's answers do not depend on what else is in it.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -131,7 +93,7 @@ def linear_solve_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     U = A.copy()
     rhs = b.copy()
     amax = np.max(np.abs(A), axis=(1, 2))
-    scale = np.where(amax > 1.0, amax, 1.0)  # max(1.0, amax) as in linear_solve
+    scale = np.where(amax > 1.0, amax, 1.0)  # max(1.0, amax)
     tiny = np.finfo(float).eps * n * scale
     systems = np.arange(m)
     failed = np.zeros(m, dtype=bool)

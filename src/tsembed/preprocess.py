@@ -3,6 +3,8 @@
 Segmentation slides a window of length tau with overlap omega: starts are
 0, (tau-omega), 2(tau-omega), ... while start+tau <= T, giving
 floor((T-tau)/(tau-omega)) + 1 windows for T >= tau and none otherwise.
+A tau that fits no series costs nothing; one too long for numpy to shape a
+float batch of (0, tau, C) is a ConfigError.
 A window's label is the mode of the timestep labels it covers, ties going to
 the smallest label id.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import SeriesRecord, TimeSeriesDataset
+from .data_io import TimeSeriesDataset
 from .errors import ConfigError, ShapeError
 
 
@@ -64,25 +66,22 @@ def aggregate_label(labels: np.ndarray) -> np.ndarray | int:
     return modes.reshape(labels.shape[:-1]) if labels.ndim > 1 else int(modes[0])
 
 
-def segment(rec_values: np.ndarray, rec_labels: np.ndarray, source_id: str,
-            tau: int, omega: int) -> WindowBatch:
-    """Windows for one series; empty when the series is shorter than tau."""
-    record = SeriesRecord(source_id, "", rec_values, rec_labels)
-    return segment_dataset(TimeSeriesDataset([record], rec_values.shape[1]), tau, omega)
-
-
 def segment_dataset(ds: TimeSeriesDataset, tau: int, omega: int) -> WindowBatch:
     """All windows of all series, series order then start order."""
     if tau < 1:
         raise ConfigError(f"window length tau must be >= 1, got {tau}")
     if omega < 0 or omega >= tau:
         raise ConfigError(f"overlap omega must satisfy 0 <= omega < tau, got {omega}")
+    limit = np.iinfo(np.intp).max // (8 * max(ds.n_channels, 1))
+    if tau > limit:  # numpy holds no float batch of shape (0, tau, C), and no series that long
+        raise ConfigError(f"window length tau must be <= {limit}, got {tau}")
     step = tau - omega
     lengths = np.array([rec.values.shape[0] for rec in ds.series], dtype=np.int64)
     counts = np.where(lengths >= tau, (lengths - tau) // step + 1, 0)
     starts = (np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)) * step
     begins = np.repeat(np.cumsum(lengths) - lengths, counts) + starts  # rows of the concatenation
-    rows = begins[:, None] + np.arange(tau)
+    # no window, no length-tau range: tau may exceed every series by far
+    rows = begins[:, None] + np.arange(tau) if len(begins) else np.empty((0, tau), np.int64)
     # the empty leading parts give the batch its shape when there are no series
     values = np.concatenate([np.empty((0, ds.n_channels))] + [r.values for r in ds.series])
     labels = np.concatenate([np.empty(0, dtype=np.int64)] + [r.labels for r in ds.series])

@@ -6,7 +6,8 @@ tsembed.embed_spectral must match byte for byte.
 
 import numpy as np
 
-from tsembed.preprocess import WindowBatch
+from tsembed.data_io import SeriesRecord, TimeSeriesDataset
+from tsembed.preprocess import WindowBatch, segment_dataset
 
 
 def window_batch(values, labels=None):
@@ -15,6 +16,12 @@ def window_batch(values, labels=None):
     n = values.shape[0]
     labels = np.zeros(n, dtype=np.int64) if labels is None else np.asarray(labels, np.int64)
     return WindowBatch(values, labels, np.arange(n), np.full(n, "s", dtype=object))
+
+
+def segment(rec_values, rec_labels, source_id, tau, omega):
+    """segment_dataset's windows of one (T, C) series; empty when T < tau."""
+    record = SeriesRecord(source_id, "", rec_values, rec_labels)
+    return segment_dataset(TimeSeriesDataset([record], rec_values.shape[1]), tau, omega)
 
 
 def mode_loop(labels):

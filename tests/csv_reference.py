@@ -9,9 +9,23 @@ import csv
 
 import numpy as np
 
-from tsembed.data_io import (SeriesRecord, TimeSeriesDataset, _LabelAlphabet, _parse_float,
-                             _parse_int, open_text)
+from tsembed.data_io import (SeriesRecord, TimeSeriesDataset, _parse_float, _parse_int,
+                             open_text)
 from tsembed.errors import ConfigError, DataError, ParseError, SchemaError
+
+
+class _LabelAlphabet:
+    """Token -> dense id mapping in first-appearance order."""
+
+    def __init__(self) -> None:
+        self.tokens: list[str] = []
+        self._index: dict[str, int] = {}
+
+    def id_for(self, token: str) -> int:
+        if token not in self._index:
+            self._index[token] = len(self.tokens)
+            self.tokens.append(token)
+        return self._index[token]
 
 
 def load_long_csv_reference(path: str) -> TimeSeriesDataset:

@@ -14,7 +14,8 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
-from batches import window_batch
+from batches import segment, window_batch
+from test_embed_graph import edges
 from test_embed_subspace import dense_weights
 from tsembed import classify
 from tsembed.bench import EmbeddingCfg, average_rank, make_embedder
@@ -22,10 +23,10 @@ from tsembed.cli import main
 from tsembed.data_io import save_wide_csv, split_by_group
 from tsembed.embed_graph import hvg_build, nvg_build
 from tsembed.embed_neural import NetworkSpec, init_network, net_backward, net_forward
-from tsembed.embed_spectral import fft_embed, wavelet_embed
+from tsembed.embed_spectral import CwtConfig, default_scales, fft_embed, wavelet_embed
 from tsembed.embed_subspace import lle_fit, pca_fit
 from tsembed.embed_tda import bottleneck, sublevel_persistence, wasserstein
-from tsembed.preprocess import apply_normalizer_all, fit_normalizer, segment, segment_dataset
+from tsembed.preprocess import apply_normalizer_all, fit_normalizer, segment_dataset
 from tsembed.rng import Xoshiro256StarStar, derive_seed
 from tsembed.synthgen import SynthSpec, generate
 
@@ -178,8 +179,8 @@ def test_oracle_equivalence():
     # visibility graphs vs the O(n^3) definition, exact edge sets
     for _ in range(200):
         x = _random_signal(rng, 64)
-        assert {(i, j) for i, j, _ in nvg_build(x).edges} == _brute_nvg(x)
-        assert {(i, j) for i, j, _ in hvg_build(x).edges} == _brute_hvg(x)
+        assert {(i, j) for i, j, _ in edges(nvg_build(x))} == _brute_nvg(x)
+        assert {(i, j) for i, j, _ in edges(hvg_build(x))} == _brute_hvg(x)
 
     # sublevel persistence vs threshold-sweep components, exact diagrams
     for _ in range(200):
@@ -336,12 +337,13 @@ def test_directional_checks():
     assert acc >= 0.95, acc
 
     # localized bursts favor the multi-resolution features in average rank
+    wavelet = functools.partial(wavelet_embed, cfg=CwtConfig(default_scales(64)))
     rows = []
     for seed in (0, 1, 2):
         bursts = generate(SynthSpec(kind="statebursts", classes=3, tau=64,
                                     n_per_class=100, channels=1,
                                     noise_sigma=0.2, seed=seed))
-        rows.append([_embed_knn_accuracy(bursts, wavelet_embed, seed),
+        rows.append([_embed_knn_accuracy(bursts, wavelet, seed),
                      _embed_knn_accuracy(bursts, fft_embed, seed)])
     ranks = average_rank(np.array(rows))
     assert ranks[0] < ranks[1], rows

@@ -9,8 +9,7 @@ from pointsets import point_sets
 from tsembed import classify, numcore
 from tsembed.classify import (CLASSIFIER_KINDS, LabeledMatrix, TreeNode, accuracy,
                               best_split, fit, fit_forest, fit_gnb, fit_knn,
-                              fit_logreg, fit_mlp, fit_tree, gnb_posteriors,
-                              predict)
+                              fit_logreg, fit_mlp, fit_tree, predict)
 from tsembed.errors import ConfigError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -166,15 +165,6 @@ def test_gnb_priors_shift_the_boundary():
     model = fit_gnb(data)
     # at the likelihood midpoint the 2:1 prior favors class 0
     assert predict(model, np.array([[2.0]]))[0] == 0
-
-
-def test_gnb_posteriors_sum_to_one():
-    data = blobs([(0, 0), (6, 6), (0, 6)], seed=63)
-    model = fit_gnb(data)
-    post = gnb_posteriors(model, data.X)
-    assert post.shape == (60, 3)
-    np.testing.assert_allclose(post.sum(axis=1), np.ones(60), atol=1e-9)
-    assert np.all(post >= 0)
 
 
 def test_gnb_variance_floor_handles_constant_features():

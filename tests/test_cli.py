@@ -1,11 +1,15 @@
 import json
+import os
 
-import numpy as np
+import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsembed import cli
 from tsembed.cli import main
-from tsembed.data_io import load_wide_csv
+from tsembed.data_io import load_wide_csv, save_wide_csv
+from tsembed.synthgen import SynthSpec, generate
 
 
 def invoke(*args):
@@ -224,3 +228,140 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for word in ("run", "embed", "rank", "synth"):
         assert word in proc.stdout
+
+
+def test_bad_row_in_a_split_file_names_that_file_once(tmp_path):
+    header = "# channels=1\nseries_id,group,label,c0_t0,c0_t1,c0_t2,c0_t3\n"
+    paths = {}
+    for split, rows in (("train", "a,g1,x,1,2,3,4\nb,g2,y,4,3,2,1\n"),
+                        ("val", "c,g3,x,1,2,3,4\nd,g4,y,4,abc,2,1\n"),
+                        ("test", "e,g5,x,1,2,3,4\n")):
+        paths[split] = tmp_path / f"{split}.csv"
+        paths[split].write_text(header + rows)
+    cfg = {"output_dir": str(tmp_path / "out"),
+           "datasets": [{"name": "toy", "format": "wide_csv", "tau": 4, "omega": 0,
+                         "normalization": "zscore",
+                         **{f"{split}_path": str(path) for split, path in paths.items()}}],
+           "embeddings": [{"method": "fft"}], "classifiers": [{"kind": "knn"}]}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    result = invoke("run", "--config", str(cfg_path))
+    one_error_line(result, "dataset 'toy'", f"{paths['val']}: line 4: 'abc' is not a number")
+    assert result.output.count(str(tmp_path)) == 1
+    # a message that starts with the path already keeps its one mention
+    paths["val"].write_bytes(header.encode() + b"c,g\xe9,x,1,2,3,4\n")
+    result = invoke("run", "--config", str(cfg_path))
+    one_error_line(result, f"{paths['val']}: not UTF-8")
+    assert result.output.count(str(tmp_path)) == 1
+
+
+def test_tau_longer_than_any_series_is_one_error_line(tmp_path):
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    obj = json.loads(cfg_path.read_text())
+    obj["datasets"][0]["tau"] = 2 ** 62
+    cfg_path.write_text(json.dumps(obj))
+    one_error_line(invoke("run", "--config", str(cfg_path)), "tau", str(2 ** 62))
+    one_error_line(invoke("embed", "--config", str(cfg_path), "--method", "fft",
+                          "--dataset", "toy"), "tau", str(2 ** 62))
+
+
+# ------------------------------------------------------------ config fuzz
+
+REPORTS = ("cells.csv", "summary.csv", "ranks.csv", "timings.csv", "manifest.json")
+# values for the keys that size the data: tau, omega, channels, seed, ratios
+SIZE_POOL = (0, -1, 1, 2, 2 ** 62, 1.5, True, "x", None, [])
+SIZED_PATHS = (("seed",),) + tuple(("datasets", 0, key) for key in ("tau", "omega", "channels")) \
+    + tuple(("datasets", 0, "ratios", i) for i in range(3))
+# one value of each JSON type; a retyped key takes one of another type
+RETYPES = ("x", None, [], {}, True, 1.5)
+DROP = object()  # with_value's marker for deleting the entry
+
+
+def fuzz_config():
+    """Seven methods, four classifiers and one 12-series wide CSV "toy.csv",
+    every size small so a run takes a fraction of a second."""
+    return {
+        "seed": 5,
+        "output_dir": "out",
+        "datasets": [{"name": "toy", "path": "toy.csv", "format": "wide_csv", "channels": 1,
+                      "tau": 8, "omega": 4, "normalization": "zscore",
+                      "ratios": [0.5, 0.25, 0.25]}],
+        "embeddings": [{"method": "fft"}, {"method": "wavelet", "params": {"scales": [2.0]}},
+                       {"method": "pca", "params": {"d": 2}},
+                       {"method": "lle", "params": {"d": 2, "K": 4, "reg": 0.001}},
+                       {"method": "graph"}, {"method": "tda", "params": {"grid_size": 4}},
+                       {"method": "ae", "params": {"d": 2, "epochs": 2, "batch": 8}}],
+        "classifiers": [{"kind": "knn", "grid": {"k": [1, 3]}}, {"kind": "gnb"},
+                        {"kind": "logreg", "params": {"max_iter": 20}},
+                        {"kind": "tree", "name": "stump", "params": {"max_depth": 2}}],
+    }
+
+
+def paths_of(node, path=()):
+    """(path, value) of every dict entry and list element below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from paths_of(value, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """fuzz_config with one key dropped or retyped, one list emptied, or one
+    size-setting key set from SIZE_POOL. Embedding and classifier params are
+    never given a size: epochs or n_trees at 2**62 would never finish."""
+    cfg = fuzz_config()
+    entries = list(paths_of(cfg))
+    kind = draw(st.sampled_from(["drop", "retype", "empty", "size"]))
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p, _ in entries if isinstance(p[-1], str)]))
+        value = DROP
+    elif kind == "retype":
+        path, old = draw(st.sampled_from(entries))
+        value = draw(st.sampled_from([v for v in RETYPES if type(v) is not type(old)]))
+    elif kind == "empty":
+        path = draw(st.sampled_from([p for p, v in entries if isinstance(v, list)]))
+        value = []
+    else:
+        path, value = draw(st.sampled_from(SIZED_PATHS)), draw(st.sampled_from(SIZE_POOL))
+    return with_value(cfg, path, value)
+
+
+def with_value(cfg, path, value):
+    """cfg with the entry at path set to value, or deleted for DROP."""
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def toy_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "toy.csv"
+    save_wide_csv(generate(SynthSpec("tones", classes=2, n_per_class=6, tau=16, seed=21)),
+                  str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cfg=mutated_configs())
+@example(cfg=with_value(fuzz_config(), ("datasets", 0, "tau"), 2 ** 62))
+@example(cfg=fuzz_config())
+def test_mutated_configs_end_in_reports_or_one_error_line(toy_csv, cfg):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("toy.csv", "wb") as fh:
+            fh.write(toy_csv)
+        with open("config.json", "w") as fh:
+            json.dump(cfg, fh)
+        result = runner.invoke(main, ["run", "--config", "config.json"])
+        if result.exit_code == 0:
+            for name in REPORTS:
+                assert os.path.isfile(os.path.join(cfg["output_dir"], name)), (name, cfg)
+        else:
+            one_error_line(result)

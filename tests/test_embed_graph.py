@@ -16,16 +16,21 @@ from tsembed.rng import Xoshiro256StarStar
 # The per-left-endpoint loops and per-node sets that the array code in
 # embed_graph must reproduce bit for bit.
 
-def graph_from_edges(n, edges):
-    i = np.array([e[0] for e in edges], dtype=np.int64)
-    j = np.array([e[1] for e in edges], dtype=np.int64)
-    w = np.array([e[2] for e in edges], dtype=float)
+def edges(g):
+    """The edges of g as (i, j, weight) tuples, in array order."""
+    return tuple(zip(g.i.tolist(), g.j.tolist(), g.w.tolist()))
+
+
+def graph_from_edges(n, edge_list):
+    i = np.array([e[0] for e in edge_list], dtype=np.int64)
+    j = np.array([e[1] for e in edge_list], dtype=np.int64)
+    w = np.array([e[2] for e in edge_list], dtype=float)
     return VisibilityGraph(n, i, j, w)
 
 
 def adjacency_sets(g):
     adj = [set() for _ in range(g.n_nodes)]
-    for i, j, _ in g.edges:
+    for i, j, _ in edges(g):
         adj[i].add(j)
         adj[j].add(i)
     return adj
@@ -33,7 +38,7 @@ def adjacency_sets(g):
 
 def degree_array_reference(g):
     deg = np.zeros(g.n_nodes, dtype=np.int64)
-    for i, j, _ in g.edges:
+    for i, j, _ in edges(g):
         deg[i] += 1
         deg[j] += 1
     return deg
@@ -42,28 +47,28 @@ def degree_array_reference(g):
 def nvg_build_reference(x):
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    edges = []
+    edge_list = []
     for i in range(n - 1):
         # slope from i to every later sample; j is visible iff its slope
         # strictly exceeds every interior slope, i.e. the running max so far
         gaps = np.arange(1, n - i, dtype=float)
         slopes = (x[i + 1:] - x[i]) / gaps
-        edges.append((i, i + 1, abs(slopes[0])))
+        edge_list.append((i, i + 1, abs(slopes[0])))
         if slopes.shape[0] > 1:
             running = np.maximum.accumulate(slopes[:-1])
             visible = np.nonzero(slopes[1:] > running)[0]
             for m in visible:
                 j = i + 2 + int(m)
-                edges.append((i, j, abs(slopes[m + 1])))
-    return graph_from_edges(n, edges)
+                edge_list.append((i, j, abs(slopes[m + 1])))
+    return graph_from_edges(n, edge_list)
 
 
 def hvg_build_reference(x):
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    edges = []
+    edge_list = []
     for i in range(n - 1):
-        edges.append((i, i + 1, 1.0))
+        edge_list.append((i, i + 1, 1.0))
         if i + 2 < n:
             # interior running max; j > i+1 is visible iff both endpoints
             # strictly exceed every sample strictly between them
@@ -71,13 +76,13 @@ def hvg_build_reference(x):
             heights = x[i + 2:]
             visible = np.nonzero((interior_max < x[i]) & (interior_max < heights))[0]
             for m in visible:
-                edges.append((i, i + 2 + int(m), 1.0))
-    return graph_from_edges(n, edges)
+                edge_list.append((i, i + 2 + int(m), 1.0))
+    return graph_from_edges(n, edge_list)
 
 
 def graph_features_reference(g):
     n = g.n_nodes
-    m = len(g.edges)
+    m = len(edges(g))
     deg = degree_array_reference(g)
 
     density = 2.0 * m / (n * (n - 1)) if n > 1 else 0.0
@@ -87,7 +92,7 @@ def graph_features_reference(g):
 
     adj = adjacency_sets(g)
     closed = 0
-    for i, j, _ in g.edges:
+    for i, j, _ in edges(g):
         closed += len(adj[i] & adj[j])  # each triangle counted once per edge
     triads = float(np.sum(deg * (deg - 1) / 2))
     transitivity = closed / triads if triads > 0 else 0.0
@@ -96,10 +101,10 @@ def graph_features_reference(g):
         assortativity = 0.0
         mean_weight = 0.0
     else:
-        ends_a = np.array([deg[i] for i, _, _ in g.edges] +
-                          [deg[j] for _, j, _ in g.edges], dtype=float)
-        ends_b = np.array([deg[j] for _, j, _ in g.edges] +
-                          [deg[i] for i, _, _ in g.edges], dtype=float)
+        ends_a = np.array([deg[i] for i, _, _ in edges(g)] +
+                          [deg[j] for _, j, _ in edges(g)], dtype=float)
+        ends_b = np.array([deg[j] for _, j, _ in edges(g)] +
+                          [deg[i] for i, _, _ in edges(g)], dtype=float)
         var_a = np.var(ends_a)
         var_b = np.var(ends_b)
         if var_a == 0.0 or var_b == 0.0:
@@ -107,7 +112,7 @@ def graph_features_reference(g):
         else:
             cov = np.mean((ends_a - ends_a.mean()) * (ends_b - ends_b.mean()))
             assortativity = cov / np.sqrt(var_a * var_b)
-        mean_weight = float(np.mean([w for _, _, w in g.edges]))
+        mean_weight = float(np.mean([w for _, _, w in edges(g)]))
 
     return np.array([density, mean_deg, std_deg, max_deg,
                      transitivity, assortativity, mean_weight])
@@ -116,7 +121,7 @@ def graph_features_reference(g):
 def brute_nvg_edges(x):
     """O(tau^3) reference: chord criterion checked point by point."""
     n = len(x)
-    edges = set()
+    pairs = set()
     for i in range(n):
         for j in range(i + 1, n):
             ok = True
@@ -126,22 +131,22 @@ def brute_nvg_edges(x):
                     ok = False
                     break
             if ok:
-                edges.add((i, j))
-    return edges
+                pairs.add((i, j))
+    return pairs
 
 
 def brute_hvg_edges(x):
     n = len(x)
-    edges = set()
+    pairs = set()
     for i in range(n):
         for j in range(i + 1, n):
             if all(x[k] < min(x[i], x[j]) for k in range(i + 1, j)):
-                edges.add((i, j))
-    return edges
+                pairs.add((i, j))
+    return pairs
 
 
 def edge_set(g):
-    return {(i, j) for i, j, _ in g.edges}
+    return {(i, j) for i, j, _ in edges(g)}
 
 
 def random_signals(count, seed=100):
@@ -183,7 +188,7 @@ def test_convex_signal_nvg_is_complete():
     # strictly convex: every chord lies above the curve
     x = np.array([t * t for t in range(7)], dtype=float)
     g = nvg_build(x)
-    assert len(g.edges) == 7 * 6 // 2
+    assert len(edges(g)) == 7 * 6 // 2
 
 
 def test_nvg_matches_bruteforce():
@@ -211,26 +216,26 @@ def test_adjacent_samples_always_linked():
 def test_nvg_edge_weights_are_absolute_slopes():
     x = np.array([0.0, 3.0, 1.0])
     g = nvg_build(x)
-    w = {(i, j): wt for i, j, wt in g.edges}
+    w = {(i, j): wt for i, j, wt in edges(g)}
     assert w[(0, 1)] == pytest.approx(3.0)
     assert w[(1, 2)] == pytest.approx(2.0)
 
 
 def test_hvg_edge_weights_are_one():
     for x in random_signals(5, seed=105):
-        assert all(wt == 1.0 for _, _, wt in hvg_build(x).edges)
+        assert all(wt == 1.0 for _, _, wt in edges(hvg_build(x)))
 
 
 def test_degree_array_consistent_with_edges():
     for x in random_signals(10, seed=106):
         g = nvg_build(x)
         deg = np.zeros(g.n_nodes, dtype=int)
-        for i, j, _ in g.edges:
+        for i, j, _ in edges(g):
             deg[i] += 1
             deg[j] += 1
         np.testing.assert_array_equal(deg, g.degree_array())
         adj = adjacency_sets(g)
-        for i, j, _ in g.edges:
+        for i, j, _ in edges(g):
             assert j in adj[i] and i in adj[j]
 
 
@@ -342,9 +347,9 @@ def test_builders_equal_reference_at_window_lengths(style, n):
 def test_edges_view_is_tuples_in_array_order():
     x = np.array([3.0, 1.0, 2.0, 0.0])
     g = nvg_build(x)
-    assert g.edges == ((0, 1, 2.0), (0, 2, 0.5), (1, 2, 1.0), (2, 3, 2.0))
-    assert [tuple(map(type, e)) for e in g.edges] == [(int, int, float)] * 4
-    assert g.edges == nvg_build_reference(x).edges
+    assert edges(g) == ((0, 1, 2.0), (0, 2, 0.5), (1, 2, 1.0), (2, 3, 2.0))
+    assert [tuple(map(type, e)) for e in edges(g)] == [(int, int, float)] * 4
+    assert edges(g) == edges(nvg_build_reference(x))
 
 
 # ------------------------------------------------------------ features
@@ -393,7 +398,7 @@ def test_assortativity_matches_pearson_oracle():
         g = nvg_build(x)
         deg = g.degree_array()
         a, b = [], []
-        for i, j, _ in g.edges:
+        for i, j, _ in edges(g):
             a.extend([deg[i], deg[j]])
             b.extend([deg[j], deg[i]])
         a, b = np.array(a, dtype=float), np.array(b, dtype=float)

@@ -6,7 +6,7 @@ import pytest
 from batches import window_batch
 from tsembed.embed_neural import (ADAM_EPS, ADAM_STEP, AdamState,
                                   AutoencoderModel, NetworkSpec, adam_step,
-                                  ae_embed, ae_reconstruct, ae_train,
+                                  ae_embed, ae_train,
                                   init_network, load_checkpoint, net_backward,
                                   net_forward, save_checkpoint, softmax)
 from tsembed.errors import ConfigError, ShapeError
@@ -255,7 +255,7 @@ def test_ae_embed_and_reconstruct_shapes():
     model = ae_train(windows, d=3, epochs=2, seed=5)
     emb = ae_embed(model, windows)
     assert emb.shape == (12, 3)
-    recon = ae_reconstruct(model, windows)
+    recon, _ = net_forward(model.decoder_spec, model.decoder, emb)
     assert recon.shape == (12, 16)
 
 

@@ -140,6 +140,11 @@ def test_cwt_rejects_bad_input():
 
 # ------------------------------------------------------------ wavelet_embed
 
+def dyadic(tau):
+    """The config of the default scales for windows of length tau."""
+    return CwtConfig(default_scales(tau))
+
+
 def test_default_scales_dyadic():
     assert default_scales(30) == (2.0, 4.0, 8.0)
     assert default_scales(64) == (2.0, 4.0, 8.0, 16.0, 32.0)
@@ -149,13 +154,13 @@ def test_default_scales_dyadic():
 
 def test_wavelet_embed_dims(make_window):
     w = make_window(np.zeros((32, 2)))
-    out = wavelet_embed(w)
+    out = wavelet_embed(w, dyadic(32))
     assert out.shape == (2 * len(default_scales(32)),)
 
 
 def test_wavelet_embed_zero_signal_floor(make_window):
     w = make_window(np.zeros(16))
-    np.testing.assert_allclose(wavelet_embed(w), np.log(1e-12))
+    np.testing.assert_allclose(wavelet_embed(w, dyadic(16)), np.log(1e-12))
 
 
 def test_wavelet_embed_tone_peaks_at_matching_scale(make_window):
@@ -163,7 +168,7 @@ def test_wavelet_embed_tone_peaks_at_matching_scale(make_window):
     tau = 64
     f = MORLET_OMEGA0 / (2 * np.pi * 4.0)
     x = np.cos(2 * np.pi * f * np.arange(tau))
-    out = wavelet_embed(make_window(x))
+    out = wavelet_embed(make_window(x), dyadic(tau))
     scales = default_scales(tau)
     assert scales[int(np.argmax(out))] == 4.0
 
@@ -172,8 +177,8 @@ def test_wavelet_embed_energy_scaling(make_window):
     # log energies shift by 2 log(alpha) under x -> alpha x, far from the floor
     rng = Xoshiro256StarStar(11)
     x = np.array(rng.gauss_vector(32)) * 5.0
-    base = wavelet_embed(make_window(x))
-    doubled = wavelet_embed(make_window(2.0 * x))
+    base = wavelet_embed(make_window(x), dyadic(32))
+    doubled = wavelet_embed(make_window(2.0 * x), dyadic(32))
     np.testing.assert_allclose(doubled - base, np.log(4.0), atol=1e-6)
 
 
@@ -192,7 +197,7 @@ def test_wavelet_embed_channel_major(make_window):
     a = np.array(rng.gauss_vector(32))
     b = np.array(rng.gauss_vector(32))
     w = make_window(np.stack([a, b], axis=1))
-    out = wavelet_embed(w)
+    out = wavelet_embed(w, dyadic(32))
     k = len(default_scales(32))
-    np.testing.assert_allclose(out[:k], wavelet_embed(make_window(a)))
-    np.testing.assert_allclose(out[k:], wavelet_embed(make_window(b)))
+    np.testing.assert_allclose(out[:k], wavelet_embed(make_window(a), dyadic(32)))
+    np.testing.assert_allclose(out[k:], wavelet_embed(make_window(b), dyadic(32)))

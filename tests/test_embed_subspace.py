@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from pointsets import point_sets
+from solve_reference import linear_solve
 from tsembed import embed_subspace, numcore
 from tsembed.embed_subspace import (LleModel, lle_fit, lle_transform, pca_fit,
                                     pca_transform)
 from tsembed.errors import ConfigError, NumericError, ShapeError
-from tsembed.numcore import linear_solve, symmetric_eig
+from tsembed.numcore import symmetric_eig
 from tsembed.rng import Xoshiro256StarStar
 
 
@@ -73,8 +74,8 @@ def test_pca_total_variance_preserved():
 def test_pca_transform_centers():
     X = gauss_matrix(11, 20, 4) + 10.0
     model = pca_fit(X, 2)
-    z = pca_transform(model, model.mean)
-    np.testing.assert_allclose(z, np.zeros(2), atol=1e-9)
+    z = pca_transform(model, model.mean[None])
+    np.testing.assert_allclose(z, np.zeros((1, 2)), atol=1e-9)
 
 
 def test_pca_transform_single_and_batch_agree():
@@ -82,7 +83,7 @@ def test_pca_transform_single_and_batch_agree():
     model = pca_fit(X, 2)
     batch = pca_transform(model, X)
     for i in range(X.shape[0]):
-        np.testing.assert_allclose(pca_transform(model, X[i]), batch[i])
+        np.testing.assert_allclose(pca_transform(model, X[i:i + 1])[0], batch[i])
 
 
 def test_pca_deterministic():
@@ -107,7 +108,9 @@ def test_pca_dimension_caps():
 def test_pca_transform_shape_mismatch():
     model = pca_fit(gauss_matrix(19, 10, 4), 2)
     with pytest.raises(ShapeError):
-        pca_transform(model, np.ones(5))
+        pca_transform(model, np.ones((1, 5)))
+    with pytest.raises(ShapeError):
+        pca_transform(model, np.ones(4))   # one vector, not a stack of rows
 
 
 # ------------------------------------------------------------ lle
@@ -171,7 +174,7 @@ def test_lle_train_point_maps_to_its_embedding():
     X = gauss_matrix(27, 20, 3)
     model = lle_fit(X, K=4, d=2)
     for i in (0, 7, 19):
-        out = lle_transform(model, X[i])
+        out = lle_transform(model, X[i:i + 1])[0]
         np.testing.assert_allclose(out, model.embedding[i], atol=1e-6)
 
 
@@ -181,7 +184,7 @@ def test_lle_out_of_sample_interpolates():
     X = np.stack([t, 2 * t], axis=1)
     model = lle_fit(X, K=4, d=1)
     q = (X[10] + X[11]) / 2
-    out = lle_transform(model, q)[0]
+    out = lle_transform(model, q[None])[0, 0]
     lo = min(model.embedding[10, 0], model.embedding[11, 0])
     hi = max(model.embedding[10, 0], model.embedding[11, 0])
     span = hi - lo
@@ -202,7 +205,7 @@ def test_lle_transform_batch():
     batch = lle_transform(model, Q)
     assert batch.shape == (5, 2)
     for i in range(5):
-        np.testing.assert_allclose(lle_transform(model, Q[i]), batch[i])
+        np.testing.assert_allclose(lle_transform(model, Q[i:i + 1])[0], batch[i])
 
 
 def test_lle_parameter_validation():
@@ -215,7 +218,9 @@ def test_lle_parameter_validation():
         lle_fit(X, K=4, d=5)    # d > K
     model = lle_fit(X, K=4, d=2)
     with pytest.raises(ShapeError):
-        lle_transform(model, np.ones(7))
+        lle_transform(model, np.ones((1, 7)))
+    with pytest.raises(ShapeError):
+        lle_transform(model, np.ones(3))   # one vector, not a stack of rows
 
 
 def test_lle_neighbor_ties_lower_index():

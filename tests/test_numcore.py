@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointsets import point_sets
+from solve_reference import linear_solve
 from tsembed import numcore
 from tsembed.embed_spectral import fft_embed
 from tsembed.errors import ContractError, NumericError, ShapeError
-from tsembed.numcore import (linear_solve, linear_solve_batched, nearest_neighbors,
-                             symmetric_eig)
+from tsembed.numcore import linear_solve_batched, nearest_neighbors, symmetric_eig
 from tsembed.rng import Xoshiro256StarStar
 
 
@@ -111,18 +111,23 @@ def test_eig_rejects_non_square():
         symmetric_eig(np.zeros((2, 3)))
 
 
-# ------------------------------------------------------------ linear_solve
+# ------------------------------------------------------------ linear_solve_batched
+
+def solve_one(A, b):
+    """linear_solve_batched on the one-system stack of A x = b."""
+    return linear_solve_batched(np.asarray(A)[None], np.asarray(b)[None])[0]
+
 
 def test_solve_exact_2x2():
     A = np.array([[2.0, 0.0], [0.0, 4.0]])
-    x = linear_solve(A, np.array([2.0, 8.0]))
+    x = solve_one(A, np.array([2.0, 8.0]))
     np.testing.assert_allclose(x, [1.0, 2.0])
 
 
 def test_solve_requires_pivoting():
     # zero in the leading position forces a row swap
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = linear_solve(A, np.array([3.0, 4.0]))
+    x = solve_one(A, np.array([3.0, 4.0]))
     np.testing.assert_allclose(x, [4.0, 3.0])
 
 
@@ -132,36 +137,35 @@ def test_solve_residual_and_recovery():
         A = random_matrix(rng, n) + n * np.eye(n)
         x_true = np.array(rng.gauss_vector(n))
         b = A @ x_true
-        x = linear_solve(A, b)
+        x = solve_one(A, b)
         np.testing.assert_allclose(x, x_true, atol=1e-8)
         assert np.max(np.abs(A @ x - b)) < 1e-8 * max(1, np.max(np.abs(b)))
 
 
 def test_solve_multiple_rhs():
+    # one system per right-hand side: the columns of B against the same A
     A = np.array([[3.0, 1.0], [1.0, 2.0]])
     B = np.array([[1.0, 0.0], [0.0, 1.0]])
-    X = linear_solve(A, B)
+    X = linear_solve_batched(np.stack([A, A]), B.T).T
     np.testing.assert_allclose(A @ X, B, atol=1e-12)
 
 
 def test_solve_singular_names_pivot():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(NumericError, match="column 1"):
-        linear_solve(A, np.array([1.0, 2.0]))
+        solve_one(A, np.array([1.0, 2.0]))
 
 
 def test_solve_ill_conditioned_rejected():
     A = np.diag([1.0, 1e-14])
-    with pytest.raises(NumericError):
-        linear_solve(A, np.array([1.0, 1.0]))
+    with pytest.raises(NumericError, match="condition estimate above 1e12"):
+        solve_one(A, np.array([1.0, 1.0]))
 
 
 def test_solve_shape_mismatch():
     with pytest.raises(ShapeError):
-        linear_solve(np.eye(2), np.ones(3))
+        linear_solve_batched(np.eye(2)[None], np.ones((1, 3)))
 
-
-# ------------------------------------------------------------ linear_solve_batched
 
 def solve_each(A, b):
     """The oracle: linear_solve on every system of the stack, in order."""

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from batches import (assert_batch_is, fft_loop, fit_loop, flatten_loop, normalize_loop,
-                     segment_loop, window_batch)
+                     segment, segment_loop, window_batch)
 from tsembed.data_io import SeriesRecord, TimeSeriesDataset
 from tsembed.embed_spectral import fft_embed
 from tsembed.errors import ConfigError, ShapeError
 from tsembed.preprocess import (aggregate_label, apply_normalizer_all, concat_windows,
-                                fit_normalizer, flatten_windows, segment, segment_dataset)
+                                fit_normalizer, flatten_windows, segment_dataset)
 
 
 def series(values, labels=None):
