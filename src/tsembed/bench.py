@@ -46,7 +46,7 @@ from .embed_graph import graph_embed
 from .embed_neural import ae_embed, ae_train
 from .embed_spectral import CwtConfig, default_scales, fft_embed, wavelet_embed
 from .embed_subspace import lle_fit, lle_transform, pca_fit, pca_transform
-from .embed_tda import DEFAULT_GRID_SIZE, tda_embed
+from .embed_tda import DEFAULT_GRID_SIZE, MAX_GRID_SIZE, tda_embed
 from .errors import ConfigError, DataError, ParseError, TsembedError
 from .preprocess import (WindowBatch, apply_normalizer_all, concat_windows, fit_normalizer,
                          flatten_windows, segment_dataset)
@@ -278,7 +278,7 @@ def _each_window(embed_one):
 _EMBEDDERS = {
     "fft": ({}, _no_fit, lambda _, windows: fft_embed(windows.values)),
     "wavelet": ({"scales": None, "omega0": 6.0}, _fit_wavelet,
-                _each_window(wavelet_embed)),
+                lambda cfg, windows: wavelet_embed(windows.values, cfg)),
     "pca": ({"d": DEFAULT_EMBED_DIM}, _fit_pca,
             lambda model, windows: pca_transform(model, flatten_windows(windows))),
     "lle": ({"d": DEFAULT_EMBED_DIM, "K": 20, "reg": 1e-3}, _fit_lle,
@@ -308,7 +308,9 @@ class Embedder:
 
 
 def make_embedder(cfg: EmbeddingCfg) -> Embedder:
-    """An unfitted embedder; unknown or wrongly typed params raise ConfigError."""
+    """An unfitted embedder; unknown or wrongly typed params, wavelet scales
+    below embed_spectral.MIN_SCALE and a tda grid_size above
+    embed_tda.MAX_GRID_SIZE raise ConfigError."""
     params = classify.check_params(f"embedding {cfg.method!r}",
                                    _EMBEDDERS[cfg.method][0], cfg.params)
     scales = params.get("scales")
@@ -317,6 +319,13 @@ def make_embedder(cfg: EmbeddingCfg) -> Embedder:
         if not isinstance(scales, (list, tuple, np.ndarray)):
             raise ConfigError(f"{what} must be a list of finite numbers, got {scales!r}")
         params["scales"] = tuple(classify.check_value(a, float, what) for a in scales)
+        try:
+            CwtConfig(params["scales"])  # no scale, or one below MIN_SCALE
+        except ConfigError as e:
+            raise ConfigError(f"embedding 'wavelet': {e}") from None
+    if cfg.method == "tda" and params["grid_size"] > MAX_GRID_SIZE:
+        raise ConfigError(f"embedding 'tda': parameter 'grid_size' must be "
+                          f"<= {MAX_GRID_SIZE}, got {params['grid_size']}")
     return Embedder(cfg.method, params)
 
 
@@ -422,8 +431,11 @@ def _load_splits(ds: DatasetCfg, master_seed: int):
 
 def _prepare(ds: DatasetCfg, master_seed: int) -> list[WindowBatch]:
     """Train, val and test windows, normalized with statistics of train."""
-    splits = [segment_dataset(part, ds.tau, ds.omega)
-              for part in _load_splits(ds, master_seed)]
+    parts = _load_splits(ds, master_seed)
+    try:
+        splits = [segment_dataset(part, ds.tau, ds.omega) for part in parts]
+    except TsembedError as e:
+        raise type(e)(f"dataset {ds.name!r}: {e}") from None
     if not splits[0]:
         raise ConfigError(f"dataset {ds.name!r}: no training windows after segmentation")
     norm = fit_normalizer(splits[0], ds.normalization)

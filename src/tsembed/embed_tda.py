@@ -18,9 +18,10 @@ to the diagonal. The general distances are capped at 64 total points
 (CapacityError beyond); they load scipy's matcher on first use.
 
 tda_embed concatenates, per channel: 4 diagram scalars, a Betti curve on
-grid_size points spanning the channel's range, 5 more scalars (two landscape
-norms, W1/W2/bottleneck against the empty diagram), and the 7 horizontal
-visibility graph features, giving C * (9 + grid_size + 7) dimensions. The
+grid_size points (2 to MAX_GRID_SIZE) spanning the channel's range, 5 more
+scalars (two landscape norms, W1/W2/bottleneck against the empty diagram),
+and the 7 horizontal visibility graph features, giving C * (9 + grid_size +
+7) dimensions. The
 distances to the empty diagram use their closed forms (the sum, 2-norm and
 max of the half-persistences), which equal the matcher's results bit for
 bit and have no size cap, so tda_embed works at any window length.
@@ -37,6 +38,9 @@ from .errors import CapacityError, ConfigError, DataError, ShapeError
 
 WASSERSTEIN_MAX_POINTS = 64
 DEFAULT_GRID_SIZE = 8
+# Betti curve points per channel: far more than the curve has steps at the
+# window lengths in use, and few enough that C * (16 + grid_size) features fit
+MAX_GRID_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -296,8 +300,8 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
 def tda_embed(values: np.ndarray, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Per-channel persistence + HVG feature vector of length 9 + grid_size + 7
     for a (tau, C) window."""
-    if grid_size < 2:
-        raise ConfigError(f"grid_size must be >= 2, got {grid_size}")
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise ConfigError(f"grid_size must be between 2 and {MAX_GRID_SIZE}, got {grid_size}")
     parts = []
     for c in range(values.shape[1]):
         x = values[:, c]

@@ -265,13 +265,35 @@ def test_tau_longer_than_any_series_is_one_error_line(tmp_path):
                           "--dataset", "toy"), "tau", str(2 ** 62))
 
 
+def test_wavelet_scale_below_the_floor_is_one_error_line(tmp_path):
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    obj = json.loads(cfg_path.read_text())
+    obj["embeddings"] = [{"method": "wavelet", "params": {"scales": [1e-320, 2.0]}}]
+    cfg_path.write_text(json.dumps(obj))
+    one_error_line(invoke("run", "--config", str(cfg_path)), "embedding 'wavelet'",
+                   "scales must be >= 1e-06")
+
+
+def test_segmentation_error_names_the_dataset(tmp_path):
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    obj = json.loads(cfg_path.read_text())
+    obj["datasets"].append(dict(obj["datasets"][0], name="second", omega=20))
+    cfg_path.write_text(json.dumps(obj))
+    one_error_line(invoke("run", "--config", str(cfg_path)), "dataset 'second': ",
+                   "overlap omega must satisfy 0 <= omega < tau, got 20")
+    one_error_line(invoke("embed", "--config", str(cfg_path), "--method", "fft",
+                          "--dataset", "second"), "dataset 'second': ", "omega")
+
+
 # ------------------------------------------------------------ config fuzz
 
 REPORTS = ("cells.csv", "summary.csv", "ranks.csv", "timings.csv", "manifest.json")
-# values for the keys that size the data: tau, omega, channels, seed, ratios
+# values for the keys that size the data (tau, omega, channels, seed, ratios)
+# and for tda's grid_size, the one embedding param with a documented cap
 SIZE_POOL = (0, -1, 1, 2, 2 ** 62, 1.5, True, "x", None, [])
+TDA_GRID_SIZE = ("embeddings", 5, "params", "grid_size")
 SIZED_PATHS = (("seed",),) + tuple(("datasets", 0, key) for key in ("tau", "omega", "channels")) \
-    + tuple(("datasets", 0, "ratios", i) for i in range(3))
+    + tuple(("datasets", 0, "ratios", i) for i in range(3)) + (TDA_GRID_SIZE,)
 # one value of each JSON type; a retyped key takes one of another type
 RETYPES = ("x", None, [], {}, True, 1.5)
 DROP = object()  # with_value's marker for deleting the entry
@@ -309,8 +331,9 @@ def paths_of(node, path=()):
 @st.composite
 def mutated_configs(draw):
     """fuzz_config with one key dropped or retyped, one list emptied, or one
-    size-setting key set from SIZE_POOL. Embedding and classifier params are
-    never given a size: epochs or n_trees at 2**62 would never finish."""
+    size-setting key set from SIZE_POOL. Embedding and classifier params other
+    than tda's capped grid_size are never given a size: epochs or n_trees at
+    2**62 would never finish."""
     cfg = fuzz_config()
     entries = list(paths_of(cfg))
     kind = draw(st.sampled_from(["drop", "retype", "empty", "size"]))
@@ -351,6 +374,7 @@ def toy_csv(tmp_path_factory):
 @settings(max_examples=150, deadline=None, database=None)
 @given(cfg=mutated_configs())
 @example(cfg=with_value(fuzz_config(), ("datasets", 0, "tau"), 2 ** 62))
+@example(cfg=with_value(fuzz_config(), TDA_GRID_SIZE, 2 ** 62))
 @example(cfg=fuzz_config())
 def test_mutated_configs_end_in_reports_or_one_error_line(toy_csv, cfg):
     runner = CliRunner()

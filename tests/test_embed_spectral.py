@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsembed.embed_spectral import (MORLET_OMEGA0, CwtConfig, cwt,
+from cwt_reference import matrix_cwt, matrix_wavelet_embed
+from tsembed import embed_spectral
+from tsembed.embed_spectral import (MIN_SCALE, MORLET_OMEGA0, CwtConfig, cwt,
                                     default_scales, fft_embed, morlet,
                                     wavelet_embed)
 from tsembed.errors import ConfigError, ShapeError
@@ -138,6 +142,68 @@ def test_cwt_rejects_bad_input():
         CwtConfig((0.0, 2.0))
 
 
+def test_cwt_scale_floor():
+    for bad in (1e-320, MIN_SCALE / 2, -2.0, float("nan")):
+        with pytest.raises(ConfigError, match="scales must be >="):
+            CwtConfig((bad, 2.0))
+    out = cwt(np.arange(8.0), CwtConfig((MIN_SCALE, 2.0)))
+    assert np.all(np.isfinite(out))
+
+
+def test_cwt_stack_of_rows():
+    rng = Xoshiro256StarStar(19)
+    x = np.array(rng.gauss_vector(3 * 24)).reshape(3, 24)
+    cfg = CwtConfig((1.5, 4.0))
+    out = cwt(x, cfg)
+    assert out.shape == (3, 2, 24)
+    for row, coeffs in zip(x, out):
+        assert coeffs.tobytes() == cwt(row, cfg).tobytes()
+    with pytest.raises(ShapeError):
+        cwt(x[:, :1], cfg)
+    with pytest.raises(ShapeError):
+        cwt(x[None], cfg)
+
+
+@st.composite
+def signals_and_scales(draw):
+    """A (C, tau) stack of one kind of signal and scales from 0.1 to 4 tau."""
+    tau = draw(st.integers(2, 300))
+    C = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["gauss", "walk", "tone", "alternating", "spike", "constant"]))
+    amplitude = draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    t = np.arange(tau)
+    if kind == "gauss":
+        x = rng.standard_normal((C, tau))
+    elif kind == "walk":
+        x = np.cumsum(rng.standard_normal((C, tau)), axis=1)
+    elif kind == "tone":
+        x = np.cos(2 * np.pi * rng.uniform(0, 0.5, (C, 1)) * t + rng.uniform(0, 6, (C, 1)))
+    elif kind == "alternating":
+        x = np.tile((-1.0) ** t, (C, 1))
+    elif kind == "spike":
+        x = np.zeros((C, tau))
+        x[:, rng.integers(0, tau)] = 1.0
+    else:
+        x = np.full((C, tau), rng.standard_normal())
+    scales = draw(st.lists(st.floats(0.1, 4.0 * tau), min_size=1, max_size=4))
+    return amplitude * x, CwtConfig(tuple(scales))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=signals_and_scales())
+def test_fft_cwt_matches_direct_summation(case):
+    x, cfg = case
+    got = cwt(x, cfg)
+    for row, coeffs in zip(x, got):
+        want = matrix_cwt(row, cfg)
+        err = np.max(np.abs(coeffs - want), axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=1)), (err, cfg.scales)
+    window = np.ascontiguousarray(x.T)
+    logs, want_logs = wavelet_embed(window, cfg), matrix_wavelet_embed(window, cfg)
+    np.testing.assert_allclose(logs, want_logs, rtol=1e-12, atol=1e-12)
+
+
 # ------------------------------------------------------------ wavelet_embed
 
 def dyadic(tau):
@@ -201,3 +267,32 @@ def test_wavelet_embed_channel_major(make_window):
     k = len(default_scales(32))
     np.testing.assert_allclose(out[:k], wavelet_embed(make_window(a), dyadic(32)))
     np.testing.assert_allclose(out[k:], wavelet_embed(make_window(b), dyadic(32)))
+
+
+@pytest.mark.parametrize("tau", [2, 3, 16, 64, 100, 256, 1024])
+@pytest.mark.parametrize("C", [1, 2, 3])
+def test_wavelet_embed_batch_is_its_windows_stacked(tau, C):
+    rng = np.random.default_rng(tau * 10 + C)
+    values = rng.standard_normal((5, tau, C))
+    cfg = CwtConfig((0.5, 2.0, float(tau), 3.0 * tau))
+    batch = wavelet_embed(values, cfg)
+    assert batch.shape == (5, C * 4)
+    stacked = np.stack([wavelet_embed(w, cfg) for w in values])
+    assert batch.tobytes() == stacked.tobytes()
+    assert batch[1:4].tobytes() == wavelet_embed(values[1:4], cfg).tobytes()
+
+
+def test_wavelet_embed_in_blocks_is_its_windows_stacked(monkeypatch):
+    values = np.random.default_rng(23).standard_normal((7, 64, 2))
+    cfg = CwtConfig((2.0, 4.0, 8.0))
+    whole = wavelet_embed(values, cfg)
+    rows_per_call = []
+
+    def counted(x, cfg):
+        rows_per_call.append(len(x))
+        return cwt(x, cfg)
+
+    monkeypatch.setattr(embed_spectral, "_CWT_BLOCK", 5 * 3 * 64 + 1)
+    monkeypatch.setattr(embed_spectral, "cwt", counted)
+    assert wavelet_embed(values, cfg).tobytes() == whole.tobytes()
+    assert rows_per_call == [5, 5, 4]
