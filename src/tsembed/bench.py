@@ -44,7 +44,7 @@ from .data_io import (TimeSeriesDataset, csv_records, load_dataset, open_text,
                       split_by_group)
 from .embed_graph import graph_embed
 from .embed_neural import ae_embed, ae_train
-from .embed_spectral import CwtConfig, default_scales, fft_embed, wavelet_embed
+from .embed_spectral import CwtConfig, check_omega0, default_scales, fft_embed, wavelet_embed
 from .embed_subspace import lle_fit, lle_transform, pca_fit, pca_transform
 from .embed_tda import DEFAULT_GRID_SIZE, MAX_GRID_SIZE, tda_embed
 from .errors import ConfigError, DataError, ParseError, TsembedError
@@ -268,11 +268,6 @@ def _fit_ae(windows: WindowBatch, params: dict, seed: int):
     return model, dict(params, d=d)
 
 
-def _each_window(embed_one):
-    """transform for a per-window function of ((tau, C) values, fitted state)."""
-    return lambda state, windows: np.stack([embed_one(v, state) for v in windows.values])
-
-
 # method -> (param defaults, fit(train_windows, params, seed) -> (state,
 # effective params), transform(state, windows) -> (n, width) matrix)
 _EMBEDDERS = {
@@ -283,8 +278,10 @@ _EMBEDDERS = {
             lambda model, windows: pca_transform(model, flatten_windows(windows))),
     "lle": ({"d": DEFAULT_EMBED_DIM, "K": 20, "reg": 1e-3}, _fit_lle,
             lambda model, windows: lle_transform(model, flatten_windows(windows))),
-    "graph": ({}, _no_fit, _each_window(lambda v, _: graph_embed(v))),
-    "tda": ({"grid_size": DEFAULT_GRID_SIZE}, _fit_tda, _each_window(tda_embed)),
+    "graph": ({}, _no_fit,
+              lambda _, windows: np.stack([graph_embed(v) for v in windows.values])),
+    "tda": ({"grid_size": DEFAULT_GRID_SIZE}, _fit_tda,
+            lambda grid_size, windows: tda_embed(windows.values, grid_size)),
     "ae": ({"d": DEFAULT_EMBED_DIM, "epochs": 100, "batch": 64}, _fit_ae, ae_embed),
 }
 EMBEDDING_METHODS = tuple(_EMBEDDERS)
@@ -309,23 +306,27 @@ class Embedder:
 
 def make_embedder(cfg: EmbeddingCfg) -> Embedder:
     """An unfitted embedder; unknown or wrongly typed params, wavelet scales
-    below embed_spectral.MIN_SCALE and a tda grid_size above
-    embed_tda.MAX_GRID_SIZE raise ConfigError."""
+    below embed_spectral.MIN_SCALE, a wavelet omega0 outside (0,
+    embed_spectral.MAX_OMEGA0] and a tda grid_size outside [2,
+    embed_tda.MAX_GRID_SIZE] raise ConfigError."""
     params = classify.check_params(f"embedding {cfg.method!r}",
                                    _EMBEDDERS[cfg.method][0], cfg.params)
-    scales = params.get("scales")
-    if scales is not None:
-        what = "embedding 'wavelet': parameter 'scales'"
-        if not isinstance(scales, (list, tuple, np.ndarray)):
-            raise ConfigError(f"{what} must be a list of finite numbers, got {scales!r}")
-        params["scales"] = tuple(classify.check_value(a, float, what) for a in scales)
+    if cfg.method == "wavelet":
+        scales = params["scales"]
+        if scales is not None:
+            what = "embedding 'wavelet': parameter 'scales'"
+            if not isinstance(scales, (list, tuple, np.ndarray)):
+                raise ConfigError(f"{what} must be a list of finite numbers, got {scales!r}")
+            params["scales"] = tuple(classify.check_value(a, float, what) for a in scales)
         try:
-            CwtConfig(params["scales"])  # no scale, or one below MIN_SCALE
+            if scales is not None:
+                CwtConfig(params["scales"])  # no scale, or one below MIN_SCALE
+            check_omega0(params["omega0"])
         except ConfigError as e:
             raise ConfigError(f"embedding 'wavelet': {e}") from None
-    if cfg.method == "tda" and params["grid_size"] > MAX_GRID_SIZE:
-        raise ConfigError(f"embedding 'tda': parameter 'grid_size' must be "
-                          f"<= {MAX_GRID_SIZE}, got {params['grid_size']}")
+    if cfg.method == "tda" and not 2 <= params["grid_size"] <= MAX_GRID_SIZE:
+        raise ConfigError(f"embedding 'tda': parameter 'grid_size' must be between 2 "
+                          f"and {MAX_GRID_SIZE}, got {params['grid_size']}")
     return Embedder(cfg.method, params)
 
 
@@ -540,6 +541,10 @@ def run_grid(cfg: BenchConfig) -> EvaluationReport:
                 Xte = embedder.transform(test_w)
                 t2 = time.perf_counter()
                 Xval = embedder.transform(val_w) if val_w else None
+                # free the fitted state now: fit or transform wrapped on the
+                # instance (as a benchmark or tracer does) makes a reference
+                # cycle that would keep it until the next cyclic collection
+                embedder.state = None
             except TsembedError as e:
                 cells += [_error_cell(ds.name, emb.name, clf.name, e)
                           for clf in cfg.classifiers]

@@ -34,7 +34,12 @@ a whole batch as rows, in blocks of at most 2^20 coefficients (16 MB), so
 its memory does not grow with the number of windows. Scales below MIN_SCALE
 samples are rejected: any scale under a = omega0 / pi (about 1.9) already
 puts the Morlet centre frequency past Nyquist, and far below that the lags
-j / a overflow to inf and the coefficients turn NaN.
+j / a overflow to inf and the coefficients turn NaN. omega0 must lie in
+(0, MAX_OMEGA0] = (0, 1e6]: a centre frequency omega0 / (2*pi*a) needs
+omega0 > 0 to mean one, and 1e6 is far past any scale a window resolves
+(below Nyquist only from a > 3e5 samples), while the phase omega0 * j / a stays
+below 1e12 * tau for every scale >= MIN_SCALE; a far larger omega0 overflows
+the phase to inf and turns the coefficients NaN.
 The pseudo-frequency of scale a is omega0 / (2*pi*a) cycles per sample, which
 is how a tone at frequency f peaks near a = omega0 / (2*pi*f).
 """
@@ -49,6 +54,7 @@ from .errors import ConfigError, ShapeError
 
 MORLET_OMEGA0 = 6.0
 MIN_SCALE = 1e-6  # samples
+MAX_OMEGA0 = 1e6  # radians per unit of t = lag / scale
 # coefficients per cwt call in wavelet_embed: a longer batch goes through in
 # blocks of rows, so its memory stays flat in the number of windows
 _CWT_BLOCK = 1 << 20
@@ -87,6 +93,13 @@ class CwtConfig:
         if not all(a >= MIN_SCALE for a in self.scales):
             raise ConfigError(f"CWT scales must be >= {MIN_SCALE:g} samples, "
                               f"got {self.scales}")
+        check_omega0(self.omega0)
+
+
+def check_omega0(omega0: float) -> None:
+    """ConfigError unless 0 < omega0 <= MAX_OMEGA0."""
+    if not 0.0 < omega0 <= MAX_OMEGA0:
+        raise ConfigError(f"Morlet omega0 must be > 0 and <= {MAX_OMEGA0:g}, got {omega0}")
 
 
 def morlet(t: np.ndarray, omega0: float = MORLET_OMEGA0) -> np.ndarray:

@@ -555,13 +555,14 @@ def test_run_grid_different_seed_changes_split(tones_csv, tmp_path):
 
 def test_run_grid_isolates_embedding_errors(tones_csv, tmp_path):
     obj = base_config(tones_csv, tmp_path / "out")
+    # d = 0 passes the type check and fails in fit, inside the cell
     obj["embeddings"] = [{"method": "fft"},
-                         {"method": "tda", "params": {"grid_size": 1}}]
+                         {"method": "pca", "params": {"d": 0}}]
     report = run_grid(parse_config(obj))
-    tda_cells = [c for c in report.cells if c.embedding == "tda"]
+    pca_cells = [c for c in report.cells if c.embedding == "pca"]
     fft_cells = [c for c in report.cells if c.embedding == "fft"]
-    assert len(tda_cells) == 2 and len(fft_cells) == 2
-    assert all(c.status == "error:ConfigError" for c in tda_cells)
+    assert len(pca_cells) == 2 and len(fft_cells) == 2
+    assert all(c.status == "error:ConfigError" for c in pca_cells)
     assert all(c.status == "ok" for c in fft_cells)
     # a method with no mean never enters the ranking
     assert [name for name, _ in report.avg_ranks] == ["fft"]

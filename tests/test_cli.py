@@ -274,6 +274,26 @@ def test_wavelet_scale_below_the_floor_is_one_error_line(tmp_path):
                    "scales must be >= 1e-06")
 
 
+def test_wavelet_omega0_out_of_range_is_one_error_line(tmp_path):
+    # a finite 1e308 used to overflow the Morlet phase in every wavelet cell
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    obj = json.loads(cfg_path.read_text())
+    for omega0 in (1e308, 0):
+        obj["embeddings"] = [{"method": "wavelet", "params": {"omega0": omega0}}]
+        cfg_path.write_text(json.dumps(obj))
+        one_error_line(invoke("run", "--config", str(cfg_path)), "embedding 'wavelet'",
+                       f"omega0 must be > 0 and <= 1e+06, got {omega0}")
+
+
+def test_tda_grid_size_below_two_is_one_error_line(tmp_path):
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    obj = json.loads(cfg_path.read_text())
+    obj["embeddings"] = [{"method": "tda", "params": {"grid_size": 1}}]
+    cfg_path.write_text(json.dumps(obj))
+    one_error_line(invoke("run", "--config", str(cfg_path)), "embedding 'tda'",
+                   "'grid_size' must be between 2 and 4096, got 1")
+
+
 def test_segmentation_error_names_the_dataset(tmp_path):
     cfg_path = write_config(tmp_path, make_data(tmp_path))
     obj = json.loads(cfg_path.read_text())
@@ -289,11 +309,13 @@ def test_segmentation_error_names_the_dataset(tmp_path):
 
 REPORTS = ("cells.csv", "summary.csv", "ranks.csv", "timings.csv", "manifest.json")
 # values for the keys that size the data (tau, omega, channels, seed, ratios)
-# and for tda's grid_size, the one embedding param with a documented cap
+# and for tda's grid_size and wavelet's omega0, the embedding params with a
+# documented range
 SIZE_POOL = (0, -1, 1, 2, 2 ** 62, 1.5, True, "x", None, [])
 TDA_GRID_SIZE = ("embeddings", 5, "params", "grid_size")
+WAVELET_OMEGA0 = ("embeddings", 1, "params", "omega0")
 SIZED_PATHS = (("seed",),) + tuple(("datasets", 0, key) for key in ("tau", "omega", "channels")) \
-    + tuple(("datasets", 0, "ratios", i) for i in range(3)) + (TDA_GRID_SIZE,)
+    + tuple(("datasets", 0, "ratios", i) for i in range(3)) + (TDA_GRID_SIZE, WAVELET_OMEGA0)
 # one value of each JSON type; a retyped key takes one of another type
 RETYPES = ("x", None, [], {}, True, 1.5)
 DROP = object()  # with_value's marker for deleting the entry
@@ -332,8 +354,8 @@ def paths_of(node, path=()):
 def mutated_configs(draw):
     """fuzz_config with one key dropped or retyped, one list emptied, or one
     size-setting key set from SIZE_POOL. Embedding and classifier params other
-    than tda's capped grid_size are never given a size: epochs or n_trees at
-    2**62 would never finish."""
+    than tda's grid_size and wavelet's omega0, whose ranges are documented,
+    are never given a size: epochs or n_trees at 2**62 would never finish."""
     cfg = fuzz_config()
     entries = list(paths_of(cfg))
     kind = draw(st.sampled_from(["drop", "retype", "empty", "size"]))
@@ -375,6 +397,7 @@ def toy_csv(tmp_path_factory):
 @given(cfg=mutated_configs())
 @example(cfg=with_value(fuzz_config(), ("datasets", 0, "tau"), 2 ** 62))
 @example(cfg=with_value(fuzz_config(), TDA_GRID_SIZE, 2 ** 62))
+@example(cfg=with_value(fuzz_config(), WAVELET_OMEGA0, 1e308))
 @example(cfg=fuzz_config())
 def test_mutated_configs_end_in_reports_or_one_error_line(toy_csv, cfg):
     runner = CliRunner()

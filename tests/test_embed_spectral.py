@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cwt_reference import matrix_cwt, matrix_wavelet_embed
 from tsembed import embed_spectral
-from tsembed.embed_spectral import (MIN_SCALE, MORLET_OMEGA0, CwtConfig, cwt,
+from tsembed.embed_spectral import (MAX_OMEGA0, MIN_SCALE, MORLET_OMEGA0, CwtConfig, cwt,
                                     default_scales, fft_embed, morlet,
                                     wavelet_embed)
 from tsembed.errors import ConfigError, ShapeError
@@ -147,6 +147,15 @@ def test_cwt_scale_floor():
         with pytest.raises(ConfigError, match="scales must be >="):
             CwtConfig((bad, 2.0))
     out = cwt(np.arange(8.0), CwtConfig((MIN_SCALE, 2.0)))
+    assert np.all(np.isfinite(out))
+
+
+def test_cwt_omega0_range():
+    for bad in (0.0, -6.0, MAX_OMEGA0 * 2, 1e308, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="omega0 must be > 0"):
+            CwtConfig((2.0,), bad)
+    # the largest omega0 at the smallest scale keeps every phase finite
+    out = cwt(np.arange(64.0), CwtConfig((MIN_SCALE, 2.0, 32.0), MAX_OMEGA0))
     assert np.all(np.isfinite(out))
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tda_reference import betti_curve, persistence_entropy, tda_embed_reference
+from tsembed import embed_tda
 from tsembed.embed_graph import graph_features, hvg_build
-from tsembed.embed_tda import (DEFAULT_GRID_SIZE, PersistenceDiagram,
-                               betti_curve, bottleneck, landscape_norm,
-                               landscape_norms, persistence_entropy,
-                               sublevel_persistence, tda_embed, wasserstein)
+from tsembed.embed_tda import (DEFAULT_GRID_SIZE, PersistenceDiagram, bottleneck,
+                               landscape_norm, landscape_norms, sublevel_persistence,
+                               sublevel_persistence_rows, tda_embed, wasserstein)
 from tsembed.errors import CapacityError, ConfigError, DataError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -412,8 +413,12 @@ def test_tda_embed_slot_layout(make_window):
     grid = np.linspace(x.min(), x.max(), DEFAULT_GRID_SIZE)
     np.testing.assert_allclose(v[4:12], betti_curve(dgm, grid))
     empty = PersistenceDiagram.empty()
-    assert v[12] == landscape_norm_reference(dgm, 1, 1)
-    assert v[13] == landscape_norm_reference(dgm, 1, 2)
+    # the first landscape is the essential tent, of half-width h
+    h = (x.max() - x.min()) / 2.0
+    assert v[12] == h * h
+    assert v[13] == math.sqrt(2.0 * h * h * h / 3.0)
+    assert v[12] == pytest.approx(landscape_norm_reference(dgm, 1, 1), rel=1e-12, abs=0)
+    assert v[13] == pytest.approx(landscape_norm_reference(dgm, 1, 2), rel=1e-12, abs=0)
     assert v[14] == wasserstein(dgm, empty, 1)
     assert v[15] == wasserstein(dgm, empty, 2)
     assert v[16] == bottleneck(dgm, empty)
@@ -458,3 +463,128 @@ def test_tda_embed_grid_size_validation(make_window):
     w = make_window(np.arange(8.0))
     with pytest.raises(ConfigError):
         tda_embed(w, grid_size=1)
+
+
+def test_tda_embed_validation():
+    with pytest.raises(ShapeError):
+        tda_embed(np.zeros(8))
+    with pytest.raises(ShapeError):
+        tda_embed(np.zeros((3, 1, 2)))
+    with pytest.raises(DataError):
+        tda_embed(np.array([[0.0], [np.inf], [1.0]]))
+    assert tda_embed(np.zeros((0, 5, 2)), grid_size=4).shape == (0, 40)
+
+
+# ------------------------------------------------------------ batch
+
+@st.composite
+def tda_batches(draw):
+    """An (n, tau, C) stack of one kind of tie-heavy or smooth signal, maybe
+    with a constant channel, and a grid size."""
+    n, tau, C = draw(st.integers(1, 4)), draw(st.integers(1, 300)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["gauss", "half", "two", "three", "walk", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n, tau, C)
+    if kind == "gauss":
+        v = rng.standard_normal(shape)
+    elif kind == "half":
+        v = np.round(2.0 * rng.standard_normal(shape)) / 2.0
+    elif kind in ("two", "three"):
+        v = rng.integers(0, 2 if kind == "two" else 3, shape).astype(float)
+    elif kind == "walk":
+        v = np.cumsum(rng.standard_normal(shape), axis=1)
+    else:
+        v = np.broadcast_to(rng.standard_normal((n, 1, C)), shape).copy()
+    if draw(st.booleans()):
+        v[rng.integers(n), :, rng.integers(C)] = rng.standard_normal()
+    return v, draw(st.sampled_from([2, 3, DEFAULT_GRID_SIZE, 13]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tda_batches(), cut=st.integers(0, 4))
+def test_tda_embed_matches_per_window_reference(case, cut):
+    values, grid_size = case
+    if values.shape[1] < 2:  # the HVG needs two samples
+        with pytest.raises(ShapeError):
+            tda_embed(values, grid_size)
+        with pytest.raises(ShapeError):
+            tda_embed_reference(values[0], grid_size)
+        return
+    got = tda_embed(values, grid_size)
+    # the two closed-form landscape norms per channel; every other column is exact
+    norms = np.zeros(16 + grid_size, dtype=bool)
+    norms[[4 + grid_size, 5 + grid_size]] = True
+    norms = np.tile(norms, values.shape[2])
+    for window, row in zip(values, got):
+        want = tda_embed_reference(window, grid_size)
+        assert row[~norms].tobytes() == want[~norms].tobytes()
+        np.testing.assert_allclose(row[norms], want[norms], rtol=1e-12, atol=0)
+    assert tda_embed(values[cut:], grid_size).tobytes() == got[cut:].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=tda_batches())
+def test_persistence_rows_match_union_find(case):
+    values, _ = case
+    rows = np.swapaxes(values, 1, 2).reshape(-1, values.shape[1])
+    births, deaths, counts = sublevel_persistence_rows(rows)
+    assert births.shape == deaths.shape == (counts.sum(),)
+    ends = np.cumsum(counts)[:-1]
+    for x, b, d in zip(rows, np.split(births, ends), np.split(deaths, ends)):
+        dgm = sublevel_persistence(x)
+        assert b.tobytes() == dgm.births.tobytes()
+        assert d.tobytes() == dgm.deaths.tobytes()
+
+
+def test_persistence_rows_edge_cases():
+    births, deaths, counts = sublevel_persistence_rows(np.zeros((0, 5)))
+    assert births.shape == deaths.shape == counts.shape == (0,)
+    births, deaths, counts = sublevel_persistence_rows(np.array([[3.0], [-1.0]]))
+    assert births.tolist() == deaths.tolist() == [3.0, -1.0] and counts.tolist() == [1, 1]
+    with pytest.raises(ShapeError):
+        sublevel_persistence_rows(np.zeros(4))
+    with pytest.raises(ShapeError):
+        sublevel_persistence_rows(np.zeros((2, 0)))
+
+
+def test_row_sums_equal_one_dimensional_sums():
+    # numpy sums runs of 8 or more in eight lanes, so the order depends on length
+    rng = np.random.default_rng(8)
+    counts = np.concatenate([np.arange(301), rng.integers(0, 301, 40)])
+    rng.shuffle(counts)
+    values = rng.standard_normal((2, counts.sum())) * 10.0 ** rng.integers(-8, 9, counts.sum())
+    got = embed_tda._row_sums(values, counts)
+    runs = np.split(values, np.cumsum(counts)[:-1], axis=1)
+    for i, run in enumerate(runs):
+        for a in range(2):
+            assert got[a, i].tobytes() == np.sum(run[a].copy()).tobytes(), (counts[i], a)
+
+
+def test_grids_equal_scalar_linspace():
+    # a zero-step row switches array linspace to another formula for all rows
+    lo = np.array([0.0, 1.0, -2.0, 3.0, 0.1])
+    hi = np.array([1.0, 1.0, 5.0, 3.0, 0.7])
+    for grid_size in (2, 7, 8, 100):
+        grids = embed_tda._grids(lo, hi, grid_size)
+        for a, b, grid in zip(lo, hi, grids):
+            assert grid.tobytes() == np.linspace(a, b, grid_size).tobytes()
+
+
+def test_tda_embed_stack_equals_windows():
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((5, 40, 2))
+    values[2, :, 1] = 0.25
+    got = tda_embed(values)
+    assert got.shape == (5, 2 * (16 + DEFAULT_GRID_SIZE))
+    for window, row in zip(values, got):
+        assert row.tobytes() == tda_embed(window).tobytes()
+
+
+def test_tda_embed_blocks(monkeypatch):
+    # block caps far below one row's tables and Betti comparisons
+    values = np.random.default_rng(10).standard_normal((3, 64, 2))
+    values[1, :, 0] = np.round(values[1, :, 0])
+    want = tda_embed(values, grid_size=50)
+    for cap in (1, 7, 300):
+        monkeypatch.setattr(embed_tda, "_CHUNK_ELEMENTS", cap)
+        assert tda_embed(values, grid_size=50).tobytes() == want.tobytes()
