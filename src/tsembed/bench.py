@@ -46,7 +46,7 @@ from .embed_graph import graph_embed
 from .embed_neural import ae_embed, ae_train
 from .embed_spectral import CwtConfig, check_omega0, default_scales, fft_embed, wavelet_embed
 from .embed_subspace import lle_fit, lle_transform, pca_fit, pca_transform
-from .embed_tda import DEFAULT_GRID_SIZE, MAX_GRID_SIZE, tda_embed
+from .embed_tda import DEFAULT_GRID_SIZE, check_grid_size, tda_embed
 from .errors import ConfigError, DataError, ParseError, TsembedError
 from .preprocess import (WindowBatch, apply_normalizer_all, concat_windows, fit_normalizer,
                          flatten_windows, segment_dataset)
@@ -278,8 +278,7 @@ _EMBEDDERS = {
             lambda model, windows: pca_transform(model, flatten_windows(windows))),
     "lle": ({"d": DEFAULT_EMBED_DIM, "K": 20, "reg": 1e-3}, _fit_lle,
             lambda model, windows: lle_transform(model, flatten_windows(windows))),
-    "graph": ({}, _no_fit,
-              lambda _, windows: np.stack([graph_embed(v) for v in windows.values])),
+    "graph": ({}, _no_fit, lambda _, windows: graph_embed(windows.values)),
     "tda": ({"grid_size": DEFAULT_GRID_SIZE}, _fit_tda,
             lambda grid_size, windows: tda_embed(windows.values, grid_size)),
     "ae": ({"d": DEFAULT_EMBED_DIM, "epochs": 100, "batch": 64}, _fit_ae, ae_embed),
@@ -311,22 +310,20 @@ def make_embedder(cfg: EmbeddingCfg) -> Embedder:
     embed_tda.MAX_GRID_SIZE] raise ConfigError."""
     params = classify.check_params(f"embedding {cfg.method!r}",
                                    _EMBEDDERS[cfg.method][0], cfg.params)
-    if cfg.method == "wavelet":
-        scales = params["scales"]
-        if scales is not None:
-            what = "embedding 'wavelet': parameter 'scales'"
-            if not isinstance(scales, (list, tuple, np.ndarray)):
-                raise ConfigError(f"{what} must be a list of finite numbers, got {scales!r}")
-            params["scales"] = tuple(classify.check_value(a, float, what) for a in scales)
-        try:
+    try:
+        if cfg.method == "wavelet":
+            scales = params["scales"]
             if scales is not None:
+                what = "parameter 'scales'"
+                if not isinstance(scales, (list, tuple, np.ndarray)):
+                    raise ConfigError(f"{what} must be a list of finite numbers, got {scales!r}")
+                params["scales"] = tuple(classify.check_value(a, float, what) for a in scales)
                 CwtConfig(params["scales"])  # no scale, or one below MIN_SCALE
             check_omega0(params["omega0"])
-        except ConfigError as e:
-            raise ConfigError(f"embedding 'wavelet': {e}") from None
-    if cfg.method == "tda" and not 2 <= params["grid_size"] <= MAX_GRID_SIZE:
-        raise ConfigError(f"embedding 'tda': parameter 'grid_size' must be between 2 "
-                          f"and {MAX_GRID_SIZE}, got {params['grid_size']}")
+        if cfg.method == "tda":
+            check_grid_size(params["grid_size"])
+    except ConfigError as e:
+        raise ConfigError(f"embedding {cfg.method!r}: {e}") from None
     return Embedder(cfg.method, params)
 
 

@@ -403,12 +403,12 @@ def split_by_group(
 
     Groups are sorted lexicographically, shuffled with a seeded stream, and
     cut at the cumulative ratios (rounded to the nearest group). Every series
-    of a group lands on the same side. Ratios must be nonnegative and sum to
-    1; the number of distinct groups must reach the number of nonzero ratios.
+    of a group lands on the same side. Ratios must be finite, nonnegative and
+    sum to 1; the number of distinct groups must reach the number of nonzero ratios.
     """
     r_train, r_val, r_test = ratios
-    if min(ratios) < 0:
-        raise ConfigError(f"split ratios must be nonnegative, got {ratios}")
+    if not all(math.isfinite(r) and r >= 0 for r in ratios):
+        raise ConfigError(f"split ratios must be finite and nonnegative, got {ratios}")
     if abs(r_train + r_val + r_test - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {ratios}")
 

@@ -30,6 +30,10 @@ blocks of edges whose neighbour rows hold at most ``_BLOCK_ELEMENTS`` entries.
 Builders and features repeat the float operations of the loop versions kept
 as oracles in ``tests/test_embed_graph.py``, in the same edge order, so
 their edges and features are bit-identical to them.
+
+graph_features_rows is the one loop over signals: the features of the graph
+a builder (nvg_build for graph_embed, hvg_build for embed_tda) makes of each
+row of a 2-D array.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
+from .preprocess import per_channel
 
 # largest number of array elements a block of NVG rows or of triad counts uses
 _BLOCK_ELEMENTS = 1 << 16
@@ -183,8 +188,12 @@ def graph_features(g: VisibilityGraph) -> np.ndarray:
                      transitivity, assortativity, mean_weight])
 
 
+def graph_features_rows(rows: np.ndarray, build) -> np.ndarray:
+    """graph_features(build(x)) of every row x of a 2-D array, as (R, 7)."""
+    return np.reshape([graph_features(build(x)) for x in rows], (rows.shape[0], 7))
+
+
 def graph_embed(values: np.ndarray) -> np.ndarray:
-    """NVG features per channel of a (tau, C) window, channel-major
-    concatenation (7 per channel)."""
-    parts = [graph_features(nvg_build(values[:, c])) for c in range(values.shape[1])]
-    return np.concatenate(parts)
+    """NVG features per channel of a window or a stack, 7 per channel, laid
+    out by preprocess.per_channel."""
+    return per_channel(values, lambda rows: graph_features_rows(rows, nvg_build))

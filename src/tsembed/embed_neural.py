@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .data_io import open_text
+from .errors import ConfigError, ParseError, ShapeError
 from .preprocess import WindowBatch, flatten_windows
 from .rng import Xoshiro256StarStar
 
@@ -243,25 +244,33 @@ def save_checkpoint(model: AutoencoderModel, path: str) -> None:
         "decoder": pack(model.decoder),
         "loss_log": model.loss_log,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
 
 
 def load_checkpoint(path: str) -> AutoencoderModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(
-            f"unsupported checkpoint format {payload.get('format')!r}")
-
+    """A model saved by save_checkpoint; ParseError naming the path if the
+    file holds none, ConfigError if it names another format."""
     def unpack(raw) -> Params:
         return [(np.array(W), np.array(b)) for W, b in raw]
 
     def spec_of(raw) -> NetworkSpec:
         return NetworkSpec(tuple(raw["layer_sizes"]), raw["hidden"], raw["output"])
 
-    return AutoencoderModel(
-        spec_of(payload["encoder_spec"]), spec_of(payload["decoder_spec"]),
-        unpack(payload["encoder"]), unpack(payload["decoder"]),
-        list(payload["loss_log"]),
-    )
+    try:
+        with open_text(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ParseError(f"{path}: checkpoint root must be a JSON object")
+        if payload.get("format") != CHECKPOINT_FORMAT:
+            raise ConfigError(f"unsupported checkpoint format {payload.get('format')!r}")
+        return AutoencoderModel(
+            spec_of(payload["encoder_spec"]), spec_of(payload["decoder_spec"]),
+            unpack(payload["encoder"]), unpack(payload["decoder"]),
+            list(payload["loss_log"]),
+        )
+    except (KeyError, TypeError, ValueError) as e:  # json.JSONDecodeError is a ValueError
+        raise ParseError(f"{path}: not a checkpoint ({type(e).__name__}: {e})") from None

@@ -2,8 +2,9 @@
 
 fft_embed keeps the magnitudes of the non-redundant half spectrum per channel
 (bins k = 0..floor(tau/2)), so a window of C channels maps to a vector of
-C * (floor(tau/2) + 1) features. It takes one (tau, C) window or a stack of
-them through one np.fft.fft call; np.fft.rfft would drift in the last bits.
+C * (floor(tau/2) + 1) features. Both embedders get the channels of a window
+or a stack as rows from preprocess.per_channel; fft_embed runs one np.fft.fft
+call over them (np.fft.rfft would drift in the last bits).
 
 The continuous wavelet transform uses the complex Morlet mother wavelet
 
@@ -29,8 +30,8 @@ one at a time.
 
 wavelet_embed reduces each scale of a CwtConfig to a log energy
 log(1e-12 + sum_b |CWT|^2); the benchmark's wavelet method fills in the
-default dyadic scales when a config gives none. It hands cwt the channels of
-a whole batch as rows, in blocks of at most 2^20 coefficients (16 MB), so
+default dyadic scales when a config gives none. It hands cwt the channel rows
+of a whole batch in blocks of at most 2^20 coefficients (16 MB), so
 its memory does not grow with the number of windows. Scales below MIN_SCALE
 samples are rejected: any scale under a = omega0 / pi (about 1.9) already
 puts the Morlet centre frequency past Nyquist, and far below that the lags
@@ -51,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .preprocess import per_channel
 
 MORLET_OMEGA0 = 6.0
 MIN_SCALE = 1e-6  # samples
@@ -61,15 +63,10 @@ _CWT_BLOCK = 1 << 20
 
 
 def fft_embed(values: np.ndarray) -> np.ndarray:
-    """Half-spectrum magnitudes, channel-major concatenation.
-
-    values is one (tau, C) window or an (n, tau, C) stack; the result is a
-    vector, or one row per window.
-    """
-    values = np.asarray(values)
-    tau = values.shape[-2]
-    mags = np.abs(np.fft.fft(values, axis=-2)[..., :tau // 2 + 1, :])
-    return np.swapaxes(mags, -1, -2).reshape(*values.shape[:-2], -1)
+    """Half-spectrum magnitudes per channel of a window or a stack, laid out
+    by preprocess.per_channel."""
+    return per_channel(values, lambda rows: np.abs(
+        np.fft.fft(rows, axis=-1)[:, :rows.shape[1] // 2 + 1]))
 
 
 def default_scales(tau: int) -> tuple[float, ...]:
@@ -128,17 +125,15 @@ def cwt(x: np.ndarray, cfg: CwtConfig) -> np.ndarray:
 
 
 def wavelet_embed(values: np.ndarray, cfg: CwtConfig) -> np.ndarray:
-    """Per-channel, per-scale log energies, channel-major then scale order.
+    """Per-channel, per-scale log energies of a window or a stack, laid out
+    by preprocess.per_channel, channel-major then scale order. The channel
+    rows go through cwt in one call unless they hold more than _CWT_BLOCK
+    coefficients."""
+    def log_energies(rows: np.ndarray) -> np.ndarray:
+        step = max(1, _CWT_BLOCK // (len(cfg.scales) * rows.shape[1]))
+        energies = np.empty((rows.shape[0], len(cfg.scales)))
+        for i in range(0, rows.shape[0], step):
+            energies[i:i + step] = np.sum(np.abs(cwt(rows[i:i + step], cfg)) ** 2, axis=-1)
+        return np.log(1e-12 + energies)
 
-    values is one (tau, C) window or an (n, tau, C) stack; the result is a
-    vector, or one row per window. The channels of all windows go through cwt
-    as rows, in one call unless they hold more than _CWT_BLOCK coefficients.
-    """
-    values = np.asarray(values, dtype=float)
-    tau, C = values.shape[-2:]
-    rows = np.swapaxes(values, -1, -2).reshape(-1, tau)
-    step = max(1, _CWT_BLOCK // (len(cfg.scales) * tau))
-    energies = np.empty((rows.shape[0], len(cfg.scales)))
-    for i in range(0, rows.shape[0], step):
-        energies[i:i + step] = np.sum(np.abs(cwt(rows[i:i + step], cfg)) ** 2, axis=-1)
-    return np.log(1e-12 + energies).reshape(*values.shape[:-2], C * len(cfg.scales))
+    return per_channel(values, log_energies)

@@ -1,29 +1,29 @@
 """Zero-dimensional sublevel-set persistence and diagram-based features.
 
 Sweeping the threshold upward over a 1-D signal, connected components of the
-sublevel set appear at local minima and merge at local maxima. The union-find
-pass processes samples in ascending (value, index) order; when two components
-merge, the younger one (larger (min value, min index)) dies, emitting the
-pair (its birth value, current value). Pairs with zero persistence are
+sublevel set appear at local minima and merge at local maxima. Samples enter
+in ascending (value, index) order, their rank. At a merge the elder rule keeps
+the component whose minimum ranks lower; the younger one dies, giving the pair
+(its birth value, the merging sample's value). Zero-persistence pairs are
 dropped. The component that never dies is closed off as the essential pair
 (global min, global max), so every diagram from a signal has at least one
-pair and all coordinates are finite.
+pair and all coordinates are finite. Pairs come in the rank order of their
+death samples, the essential pair last.
 
-sublevel_persistence runs that pass on one signal. sublevel_persistence_rows
-gives the same pairs, in the same order and bit for bit, for every row of a
-2-D array at once, in O(log T) array passes over rows of T samples. A
-component is born at a sample m that ranks below both neighbours in the
-(value, index) order, and dies at the lower-ranked of two saddles: on each
-side, the highest-ranked sample between m and the nearest lower-ranked sample
-(the "prominence" of m). The global minimum has no lower sample on either
-side and closes the essential pair. The pass emits at most one pair per
-sample, when the sweep reaches its death sample, so sorting the pairs by the
-rank of their death samples gives its order; births and deaths are copies of
-input values, so no rounding enters. The nearest lower sample on each side
-comes from binary lifting over range-minimum tables of the ranks, the saddles
-from range-maximum tables. For R rows the tables hold 2 * R * T *
-bit_length(T) int32 entries, so rows go through in blocks whose tables stay
-within 2 * _CHUNK_ELEMENTS entries.
+sublevel_persistence_rows gives these pairs for every row of a 2-D array at
+once, in O(log T) array passes over rows of T samples; sublevel_persistence is
+its single row. A component is born at a sample m that ranks below both
+neighbours, and dies at the lower-ranked of two saddles: on each side, the
+highest-ranked sample between m and the nearest lower-ranked sample (the
+"prominence" of m). The global minimum has no lower sample on either side
+and closes the essential pair. Births and deaths are copies of input values,
+so no rounding enters. The nearest lower sample on each side comes from
+binary lifting over range-minimum tables of the ranks, the saddles from
+range-maximum tables: 2 * T * bit_length(T) int32 entries per row (about
+88 KB at T = 1024). Rows go through in blocks whose tables stay within
+2 * _CHUNK_ELEMENTS entries, and a block always holds at least one row. The
+union-find sweep in tests/tda_reference.py is the oracle: same pairs, same
+order, bit for bit.
 
 On top of one diagram: exact p-norms of persistence landscapes via piecewise
 integration (Bubenik & Dlotko, J. Symb. Comput. 2017), evaluated on all
@@ -38,9 +38,9 @@ largest persistence, pair count), a Betti curve (pairs alive on the
 half-open [b, d)) on grid_size points (2 to MAX_GRID_SIZE) spanning the
 channel's range, 5 more scalars (the L1 and L2 norms of the first landscape,
 W1/W2/bottleneck against the empty diagram) and the 7 horizontal visibility
-graph features, giving C * (16 + grid_size) dimensions. Everything but the
-HVG features comes from the flat diagrams of one sublevel_persistence_rows
-call over all channels of all windows:
+graph features (embed_graph.graph_features_rows), giving C * (16 + grid_size)
+dimensions. Everything else comes from the flat diagrams of one
+sublevel_persistence_rows call over the channel rows of preprocess.per_channel:
 
 - The first landscape of a diagram from a signal is one tent. The essential
   pair (min x, max x) contains every other pair, since every birth is at
@@ -72,8 +72,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed_graph import graph_features, hvg_build
+from .embed_graph import graph_features_rows, hvg_build
 from .errors import CapacityError, ConfigError, DataError, ShapeError
+from .preprocess import per_channel
 
 WASSERSTEIN_MAX_POINTS = 64
 DEFAULT_GRID_SIZE = 8
@@ -112,55 +113,16 @@ class PersistenceDiagram:
         return PersistenceDiagram(z, z.copy(), np.zeros(0, dtype=bool))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-
 def sublevel_persistence(x: np.ndarray) -> PersistenceDiagram:
-    """0-dimensional sublevel-set persistence of a 1-D signal."""
+    """0-dimensional sublevel-set persistence of a 1-D signal: the one row of
+    sublevel_persistence_rows, with its essential pair flagged last."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] < 1:
         raise ShapeError(f"persistence needs a nonempty 1-D signal, got shape {x.shape}")
-    n = x.shape[0]
-    order = np.lexsort((np.arange(n), x))
-    uf = _UnionFind(n)
-    active = np.zeros(n, dtype=bool)
-    # per-root birth key (value, index) of the component's minimum
-    birth: dict[int, tuple[float, int]] = {}
-    births, deaths = [], []
-
-    for idx in order:
-        idx = int(idx)
-        active[idx] = True
-        birth[idx] = (x[idx], idx)
-        for nb in (idx - 1, idx + 1):
-            if 0 <= nb < n and active[nb]:
-                ra = uf.find(idx)
-                rb = uf.find(nb)
-                if ra == rb:
-                    continue
-                elder, younger = (ra, rb) if birth[ra] <= birth[rb] else (rb, ra)
-                y_birth = birth[younger][0]
-                if x[idx] > y_birth:  # zero-persistence merges are dropped
-                    births.append(y_birth)
-                    deaths.append(x[idx])
-                uf.parent[younger] = elder
-                del birth[younger]
-
-    births.append(float(x.min()))
-    deaths.append(float(x.max()))
-    essential = np.zeros(len(births), dtype=bool)
+    births, deaths, _ = sublevel_persistence_rows(x[None])
+    essential = np.zeros(births.shape[0], dtype=bool)
     essential[-1] = True
-    return PersistenceDiagram(np.array(births), np.array(deaths), essential)
+    return PersistenceDiagram(births, deaths, essential)
 
 
 def _rows_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,11 +189,14 @@ def _rows_pairs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def sublevel_persistence_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sublevel_persistence of every row of a 2-D array at once.
+    """0-dimensional sublevel-set persistence of every row of a 2-D array.
 
     Returns the births and deaths of all rows as two flat arrays, row after
-    row, each row's pairs in sublevel_persistence's order with its essential
-    pair last, and the number of pairs of each row.
+    row, and the number of pairs of each row. A row's pairs follow the elder
+    rule (a merge kills the component whose minimum comes later in the
+    (value, index) order), leave out zero persistence, come in the (value,
+    index) order of their death samples, and end with the essential pair
+    (row min, row max).
     """
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] < 1:
@@ -481,23 +446,21 @@ def _diagram_features(x: np.ndarray, grid_size: int) -> np.ndarray:
     ])
 
 
-def tda_embed(values: np.ndarray, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
-    """Per-channel persistence + HVG features, channel-major, C * (16 +
-    grid_size) of them.
-
-    values is one (tau, C) window or an (n, tau, C) stack; the result is a
-    vector, or one row per window.
-    """
+def check_grid_size(grid_size: int) -> None:
+    """ConfigError unless 2 <= grid_size <= MAX_GRID_SIZE."""
     if not 2 <= grid_size <= MAX_GRID_SIZE:
-        raise ConfigError(f"grid_size must be between 2 and {MAX_GRID_SIZE}, got {grid_size}")
+        raise ConfigError(f"parameter 'grid_size' must be between 2 and {MAX_GRID_SIZE}, "
+                          f"got {grid_size}")
+
+
+def tda_embed(values: np.ndarray, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+    """Per-channel persistence + HVG features of a window or a stack, C * (16
+    + grid_size) of them, laid out by preprocess.per_channel."""
+    check_grid_size(grid_size)
     values = np.asarray(values, dtype=float)
     if values.ndim not in (2, 3) or values.shape[-2] < 2:
         raise ShapeError(f"tda needs (tau, C) windows with tau >= 2, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise DataError("tda needs finite values")
-    tau, C = values.shape[-2:]
-    rows = np.ascontiguousarray(np.swapaxes(values, -1, -2).reshape(-1, tau))
-    hvg = [graph_features(hvg_build(x)) for x in rows]
-    features = np.concatenate([_diagram_features(rows, grid_size),
-                               np.reshape(hvg, (rows.shape[0], 7))], axis=1)
-    return features.reshape(*values.shape[:-2], C * features.shape[1])
+    return per_channel(values, lambda rows: np.concatenate(
+        [_diagram_features(rows, grid_size), graph_features_rows(rows, hvg_build)], axis=1))

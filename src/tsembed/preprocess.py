@@ -11,6 +11,10 @@ the smallest label id.
 Windows form one array batch (WindowBatch) in series order then start order;
 every step after segmentation works on the whole batch at once.
 
+Windows go channel-major, each channel one row of tau samples:
+flatten_windows lays out the values that way, and per_channel runs the row
+function of every per-channel embedder (fft, wavelet, graph, tda) over them.
+
 Normalizers are fitted on training windows only and carry per-channel
 statistics. zscore uses the population standard deviation; minmax maps the
 training range to [0, 1] without clipping, so unseen values can fall outside.
@@ -126,8 +130,21 @@ def apply_normalizer_all(norm: Normalizer, windows: WindowBatch) -> WindowBatch:
     return replace(windows, values=(windows.values - norm.shift) / norm.scale)
 
 
+def per_channel(values: np.ndarray, row_features) -> np.ndarray:
+    """row_features of the channels of a (tau, C) window or an (n, tau, C)
+    stack, passed as the C-contiguous rows of one (n * C, tau) float array and
+    returned as (n * C, k): C * k features per window, channel-major, a vector
+    for one window."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim not in (2, 3):
+        raise ShapeError(f"need a (tau, C) window or an (n, tau, C) stack, got {values.shape}")
+    tau, C = values.shape[-2:]
+    features = row_features(np.ascontiguousarray(np.swapaxes(values, -1, -2)).reshape(-1, tau))
+    return features.reshape(values.shape[:-2] + (C * features.shape[1],))
+
+
 def flatten_windows(windows: WindowBatch) -> np.ndarray:
     """One row per window: its (tau, C) values flattened channel-major."""
     if not len(windows):
         raise ShapeError("need at least one window")
-    return windows.values.transpose(0, 2, 1).reshape(len(windows), -1)
+    return per_channel(windows.values, lambda rows: rows)

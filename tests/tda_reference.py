@@ -1,7 +1,8 @@
 """Per-window tda features, one channel at a time: the oracle of the batch
 ``tda_embed``.
 
-Each channel goes through the union-find ``sublevel_persistence``, then
+Each channel goes through ``union_find_persistence``, the sweep that defines
+the diagram (see the ``embed_tda`` docstring), then
 entropy, total and largest persistence, pair count, a Betti curve on
 ``np.linspace`` of the channel's range, the exact Simpson norms of the first
 landscape (``landscape_norms``), the closed-form distances to the empty
@@ -11,9 +12,58 @@ diagram and the HVG features, all with one 1-D numpy call per quantity.
 import numpy as np
 
 from tsembed.embed_graph import graph_features, hvg_build
-from tsembed.embed_tda import (DEFAULT_GRID_SIZE, MAX_GRID_SIZE, PersistenceDiagram,
-                               landscape_norms, sublevel_persistence)
-from tsembed.errors import ConfigError
+from tsembed.embed_tda import (DEFAULT_GRID_SIZE, PersistenceDiagram, check_grid_size,
+                               landscape_norms)
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+
+def union_find_persistence(x: np.ndarray) -> PersistenceDiagram:
+    """0-dimensional sublevel-set persistence of a 1-D signal by a union-find
+    sweep over the samples in ascending (value, index) order."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    order = np.lexsort((np.arange(n), x))
+    uf = _UnionFind(n)
+    active = np.zeros(n, dtype=bool)
+    # per-root birth key (value, index) of the component's minimum
+    birth: dict[int, tuple[float, int]] = {}
+    births, deaths = [], []
+
+    for idx in order:
+        idx = int(idx)
+        active[idx] = True
+        birth[idx] = (x[idx], idx)
+        for nb in (idx - 1, idx + 1):
+            if 0 <= nb < n and active[nb]:
+                ra = uf.find(idx)
+                rb = uf.find(nb)
+                if ra == rb:
+                    continue
+                elder, younger = (ra, rb) if birth[ra] <= birth[rb] else (rb, ra)
+                y_birth = birth[younger][0]
+                if x[idx] > y_birth:  # zero-persistence merges are dropped
+                    births.append(y_birth)
+                    deaths.append(x[idx])
+                uf.parent[younger] = elder
+                del birth[younger]
+
+    births.append(float(x.min()))
+    deaths.append(float(x.max()))
+    essential = np.zeros(len(births), dtype=bool)
+    essential[-1] = True
+    return PersistenceDiagram(np.array(births), np.array(deaths), essential)
 
 
 def persistence_entropy(dgm: PersistenceDiagram) -> float:
@@ -36,12 +86,11 @@ def betti_curve(dgm: PersistenceDiagram, grid: np.ndarray) -> np.ndarray:
 
 def tda_embed_reference(values: np.ndarray, grid_size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
     """Feature vector of length C * (16 + grid_size) for one (tau, C) window."""
-    if not 2 <= grid_size <= MAX_GRID_SIZE:
-        raise ConfigError(f"grid_size must be between 2 and {MAX_GRID_SIZE}, got {grid_size}")
+    check_grid_size(grid_size)
     parts = []
     for c in range(values.shape[1]):
         x = values[:, c]
-        dgm = sublevel_persistence(x)
+        dgm = union_find_persistence(x)
         pers = dgm.persistences()
         scalars_front = np.array([
             persistence_entropy(dgm),

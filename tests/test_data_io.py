@@ -434,6 +434,9 @@ def test_split_bad_ratios_rejected():
         split_by_group(ds, (0.5, 0.4, 0.2), seed=1)
     with pytest.raises(ConfigError):
         split_by_group(ds, (0.8, -0.1, 0.3), seed=1)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):
+            split_by_group(ds, (bad, 0.5, 0.5), seed=1)
 
 
 def test_split_keeps_alphabet_regardless_of_members(tmp_path):

@@ -433,6 +433,7 @@ def test_graph_embed_dimension(make_window):
     w = make_window(np.random.default_rng(0).normal(size=(20, 3)))
     v = graph_embed(w)
     assert v.shape == (7 * 3,)
+    assert graph_embed(np.zeros((0, 20, 3))).shape == (0, 7 * 3)
 
 
 def test_graph_embed_channel_major(make_window):
@@ -442,3 +443,12 @@ def test_graph_embed_channel_major(make_window):
     v = graph_embed(w)
     assert v[:7].tobytes() == graph_features(nvg_build(a)).tobytes()
     assert v[7:].tobytes() == graph_features(nvg_build(b)).tobytes()
+
+
+def test_graph_embed_stack_equals_windows():
+    values = np.random.default_rng(2).normal(size=(4, 24, 2))
+    values[1, :, 0] = np.round(values[1, :, 0])
+    got = graph_embed(values)
+    assert got.shape == (4, 7 * 2)
+    for window, row in zip(values, got):
+        assert row.tobytes() == graph_embed(window).tobytes()

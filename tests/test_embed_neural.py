@@ -9,7 +9,7 @@ from tsembed.embed_neural import (ADAM_EPS, ADAM_STEP, AdamState,
                                   ae_embed, ae_train,
                                   init_network, load_checkpoint, net_backward,
                                   net_forward, save_checkpoint, softmax)
-from tsembed.errors import ConfigError, ShapeError
+from tsembed.errors import ConfigError, ParseError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
 FD_H = 1e-5
@@ -299,3 +299,22 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
     path.write_text(json.dumps({"format": "other-v9"}))
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("content", [
+    b'{"format": "caf\xe9"}',  # not UTF-8
+    b'{"format": ',  # not JSON
+    json.dumps({"format": "tsembed-ae-checkpoint-v1"}).encode(),  # no encoder_spec
+    b'["tsembed-ae-checkpoint-v1"]',  # a list root
+])
+def test_checkpoint_malformed_file_is_parse_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="bad.json"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unwritable_path_is_config_error(tmp_path):
+    model = ae_train(planar_windows(n=15), d=2, epochs=1, seed=8)
+    with pytest.raises(ConfigError, match="cannot write"):
+        save_checkpoint(model, tmp_path / "missing" / "ae.json")

@@ -55,6 +55,7 @@ def test_fft_embed_dims(make_window):
             w = make_window(np.zeros((tau, C)))
             assert fft_embed(w).shape == (C * (tau // 2 + 1),)
             assert fft_embed(np.zeros((3, tau, C))).shape == (3, C * (tau // 2 + 1))
+            assert fft_embed(np.zeros((0, tau, C))).shape == (0, C * (tau // 2 + 1))
 
 
 def test_fft_embed_matches_naive(make_window):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tda_reference import betti_curve, persistence_entropy, tda_embed_reference
+from tda_reference import (betti_curve, persistence_entropy, tda_embed_reference,
+                           union_find_persistence)
 from tsembed import embed_tda
 from tsembed.embed_graph import graph_features, hvg_build
 from tsembed.embed_tda import (DEFAULT_GRID_SIZE, PersistenceDiagram, bottleneck,
@@ -531,9 +532,12 @@ def test_persistence_rows_match_union_find(case):
     assert births.shape == deaths.shape == (counts.sum(),)
     ends = np.cumsum(counts)[:-1]
     for x, b, d in zip(rows, np.split(births, ends), np.split(deaths, ends)):
-        dgm = sublevel_persistence(x)
-        assert b.tobytes() == dgm.births.tobytes()
-        assert d.tobytes() == dgm.deaths.tobytes()
+        want = union_find_persistence(x)
+        assert b.tobytes() == want.births.tobytes()
+        assert d.tobytes() == want.deaths.tobytes()
+        got = sublevel_persistence(x)
+        for name in ("births", "deaths", "essential"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_persistence_rows_edge_cases():
