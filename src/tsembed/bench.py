@@ -189,6 +189,13 @@ def _parse_classifier(obj: dict, index: int) -> ClassifierCfg:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{where}: grid entry {key!r} must be a nonempty list")
     params = _typed(obj.get("params", {}), dict, f"{where}: params")
+    try:  # ranges that do not depend on the data fail before any work starts
+        classify.check_ranges(kind, params)
+        for key, values in grid.items():
+            for value in values:
+                classify.check_ranges(kind, {key: value})
+    except ConfigError as e:
+        raise ConfigError(f"classifier {kind!r}: {e}") from None
     return ClassifierCfg(kind=kind, name=_typed(obj.get("name", kind), str, f"{where}: name"),
                          params=dict(params), grid=grid)
 
@@ -423,8 +430,6 @@ def _load_splits(ds: DatasetCfg, master_seed: int):
                      for part in loaded)
     except TsembedError as e:
         raise type(e)(f"dataset {ds.name!r}: {e}") from None
-    except OSError as e:
-        raise ConfigError(f"dataset {ds.name!r}: {e}") from None
 
 
 def _prepare(ds: DatasetCfg, master_seed: int) -> list[WindowBatch]:

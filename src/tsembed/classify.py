@@ -33,7 +33,7 @@ import numpy as np
 
 from .embed_neural import (NetworkSpec, AdamState, adam_step, init_network,
                            net_backward, net_forward, softmax)
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .numcore import nearest_neighbors
 from .rng import Xoshiro256StarStar, derive_seed
 
@@ -125,8 +125,7 @@ class MlpModel:
 # ---------------------------------------------------------------- knn
 
 def fit_knn(data: LabeledMatrix, k: int = 5) -> KnnModel:
-    if k < 1:
-        raise ConfigError(f"knn needs k >= 1, got {k}")
+    check_ranges("knn", {"k": k})
     if k > data.X.shape[0]:
         raise ConfigError(f"knn k={k} exceeds training size {data.X.shape[0]}")
     return KnnModel(data.X.astype(float).copy(), data.y.copy(), k)
@@ -145,8 +144,7 @@ def _predict_knn(model: KnnModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- gnb
 
 def fit_gnb(data: LabeledMatrix, var_floor: float = 1e-9) -> GnbModel:
-    if var_floor <= 0:
-        raise ConfigError(f"variance floor must be positive, got {var_floor}")
+    check_ranges("gnb", {"var_floor": var_floor})
     classes = np.unique(data.y)
     means = np.stack([data.X[data.y == c].mean(axis=0) for c in classes])
     variances = np.stack([
@@ -180,8 +178,7 @@ def fit_logreg(data: LabeledMatrix, l2: float = 1e-4,
     # a NaN or infinite step never shrinks below the floor of the halving loop
     if not all(math.isfinite(v) for v in (l2, tol, lr)):
         raise ConfigError("logreg l2, tol and lr must be finite")
-    if l2 < 0 or max_iter < 1 or tol <= 0 or lr <= 0:
-        raise ConfigError("logreg params out of range")
+    check_ranges("logreg", {"l2": l2, "max_iter": max_iter, "tol": tol, "lr": lr})
     classes = np.unique(data.y)
     n, d = data.X.shape
     C = classes.shape[0]
@@ -193,29 +190,33 @@ def fit_logreg(data: LabeledMatrix, l2: float = 1e-4,
     b = np.zeros(C)
 
     def loss_of(W_, b_):
+        """(loss, softmax probabilities) at (W_, b_)."""
         probs = softmax(data.X @ W_.T + b_)
         ce = -np.mean(np.log(probs[np.arange(n), class_index] + 1e-300))
-        return ce + l2 * np.sum(W_ * W_)
+        return ce + l2 * np.sum(W_ * W_), probs
 
-    current = loss_of(W, b)
+    current, probs = loss_of(W, b)
     iters = 0
-    while iters < max_iter:
-        probs = softmax(data.X @ W.T + b)
-        delta = (probs - onehot) / n
-        gW = delta.T @ data.X + 2.0 * l2 * W
-        gb = delta.sum(axis=0)
-        grad_inf = max(np.max(np.abs(gW)), np.max(np.abs(gb)))
-        if grad_inf < tol:
-            break
-        while True:
-            W_new = W - lr * gW
-            b_new = b - lr * gb
-            new_loss = loss_of(W_new, b_new)
-            if new_loss <= current or lr < 1e-12:
+    # a trial step may overflow: its loss is then inf or NaN and the step halves
+    with np.errstate(over="ignore", invalid="ignore"):
+        while iters < max_iter:
+            delta = (probs - onehot) / n
+            gW = delta.T @ data.X + 2.0 * l2 * W
+            gb = delta.sum(axis=0)
+            grad_inf = max(np.max(np.abs(gW)), np.max(np.abs(gb)))
+            if grad_inf < tol:
                 break
-            lr *= 0.5
-        W, b, current = W_new, b_new, new_loss
-        iters += 1
+            while True:
+                W_new = W - lr * gW
+                b_new = b - lr * gb
+                new_loss, new_probs = loss_of(W_new, b_new)
+                if new_loss <= current or lr < 1e-12:
+                    break
+                lr *= 0.5
+            W, b, current, probs = W_new, b_new, new_loss, new_probs
+            iters += 1
+            if not (math.isfinite(current) and np.isfinite(W).all() and np.isfinite(b).all()):
+                raise NumericError(f"logreg diverged at step {iters}: loss {current}")
     return LogRegModel(classes, W, b, iters)
 
 
@@ -324,8 +325,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int,
 
 def fit_tree(data: LabeledMatrix, max_depth: int = TREE_MAX_DEPTH,
              min_leaf: int = TREE_MIN_LEAF) -> TreeModel:
-    if max_depth < 1 or min_leaf < 1:
-        raise ConfigError("tree params out of range")
+    check_ranges("tree", {"max_depth": max_depth, "min_leaf": min_leaf})
     root = _grow_tree(data.X.astype(float), data.y, max_depth, min_leaf, None, None)
     return TreeModel(root, data.X.shape[1])
 
@@ -348,8 +348,7 @@ def fit_forest(data: LabeledMatrix, n_trees: int = 100,
                bootstrap: bool = True, max_features: int | str | None = None,
                seed: int = 0) -> ForestModel:
     """Bagged trees with per-split feature subsets (default ceil(sqrt(d)))."""
-    if n_trees < 1:
-        raise ConfigError(f"forest needs n_trees >= 1, got {n_trees}")
+    check_ranges("forest", {"n_trees": n_trees})
     n, d = data.X.shape
     if max_features is None:
         m_feats = int(np.ceil(np.sqrt(d)))
@@ -366,7 +365,7 @@ def fit_forest(data: LabeledMatrix, n_trees: int = 100,
     for b in range(n_trees):
         rng = Xoshiro256StarStar(derive_seed(seed, "tree", b))
         if bootstrap:
-            idx = np.array([rng.randbelow(n) for _ in range(n)])
+            idx = rng.next_u64_array(n) % np.uint64(n)  # n randbelow(n) draws
             Xb, yb = X[idx], data.y[idx]
         else:
             Xb, yb = X, data.y
@@ -391,8 +390,7 @@ def fit_mlp(data: LabeledMatrix, hidden: int = 64,
             epochs: int = 200, batch: int = 64,
             seed: int = 0) -> MlpModel:
     """One-hidden-layer softmax network trained with Adam on cross-entropy."""
-    if hidden < 1 or epochs < 0 or batch < 1:
-        raise ConfigError("mlp params out of range")
+    check_ranges("mlp", {"hidden": hidden, "epochs": epochs, "batch": batch})
     classes = np.unique(data.y)
     n, d = data.X.shape
     C = classes.shape[0]
@@ -440,6 +438,33 @@ _DEFAULTS = {kind: {name: p.default for name, p in inspect.signature(fitter).par
              for kind, fitter in _FITTERS.items()}
 
 CLASSIFIER_KINDS = tuple(sorted(_FITTERS))
+
+# kind -> {param: (bound, whether the bound itself is allowed)}: the lower
+# bounds that hold whatever the data, checked by each fitter and, through
+# check_ranges, by bench when it parses a config
+_RANGES = {
+    "knn": {"k": (1, True)},
+    "gnb": {"var_floor": (0.0, False)},
+    "logreg": {"l2": (0.0, True), "max_iter": (1, True), "tol": (0.0, False),
+               "lr": (0.0, False)},
+    "tree": {"max_depth": (1, True), "min_leaf": (1, True)},
+    "forest": {"n_trees": (1, True)},
+    "mlp": {"hidden": (1, True), "epochs": (0, True), "batch": (1, True)},
+}
+
+
+def check_ranges(kind: str, params: dict) -> None:
+    """ConfigError for a param of kind below its bound in _RANGES. Keys with
+    no bound, and values that are not numbers (a bool, a string, None), pass:
+    fit reports those through check_params."""
+    for key, value in params.items():
+        if key not in _RANGES[kind] or isinstance(value, bool) \
+                or not isinstance(value, (int, float, np.integer, np.floating)):
+            continue
+        bound, closed = _RANGES[kind][key]
+        if value < bound or (value == bound and not closed):
+            raise ConfigError(f"parameter {key!r} must be {'>=' if closed else '>'} "
+                              f"{bound}, got {value!r}")
 
 
 def fit(kind: str, data: LabeledMatrix, params: dict | None = None):

@@ -84,12 +84,16 @@ class TimeSeriesDataset:
 
 @contextmanager
 def open_text(path: str):
-    """Open a UTF-8 text file to read; undecodable bytes raise ParseError."""
+    """Open a UTF-8 text file to read; a file that cannot be read (missing, a
+    directory, no permission) or holds undecodable bytes raises ParseError
+    naming path."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 ({e.reason})") from None
+    except OSError as e:
+        raise ParseError(f"{path}: cannot read ({e.strerror or e})") from None
 
 
 def csv_records(path: str, lines, first_line: int = 1):

@@ -62,7 +62,7 @@ def init_network(spec: NetworkSpec, rng: Xoshiro256StarStar) -> Params:
     params: Params = []
     for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
         std = np.sqrt(2.0 / fan_in)
-        W = np.array(rng.gauss_vector(fan_out * fan_in)).reshape(fan_out, fan_in) * std
+        W = rng.gauss_vector(fan_out * fan_in).reshape(fan_out, fan_in) * std
         b = np.zeros(fan_out)
         params.append((W, b))
     return params
@@ -135,30 +135,41 @@ class AdamState:
     t: int
     m: Params
     v: Params
+    scratch: np.ndarray  # two rows as long as the largest parameter, reused each step
 
     @staticmethod
     def zeros_like(params: Params) -> "AdamState":
         m = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
         v = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
-        return AdamState(0, m, v)
+        largest = max(p.size for layer in params for p in layer)
+        return AdamState(0, m, v, np.empty((2, largest)))
 
 
 def adam_step(params: Params, grads: Params, state: AdamState,
               step: float = ADAM_STEP) -> None:
-    """One in-place Adam update over all parameters."""
+    """One in-place Adam update over all parameters:
+    p -= (step * m_hat) / (sqrt(v_hat) + eps), computed in state.scratch."""
     state.t += 1
-    t = state.t
+    m_scale = 1.0 - ADAM_BETA1 ** state.t
+    v_scale = 1.0 - ADAM_BETA2 ** state.t
     for layer, (gW, gb) in enumerate(grads):
         for slot, g in ((0, gW), (1, gb)):
             m = state.m[layer][slot]
             v = state.v[layer][slot]
+            num = state.scratch[0, :g.size].reshape(g.shape)
+            den = state.scratch[1, :g.size].reshape(g.shape)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=num)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            params[layer][slot][...] -= step * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            np.multiply(g, g, out=num)
+            v += np.multiply(1.0 - ADAM_BETA2, num, out=num)
+            np.divide(m, m_scale, out=num)
+            num *= step
+            np.divide(v, v_scale, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            num /= den
+            params[layer][slot][...] -= num
 
 
 @dataclass

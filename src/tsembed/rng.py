@@ -26,11 +26,30 @@ All arithmetic is modulo 2^64. Floats take the top 53 bits of a step, giving
 uniforms in [0, 1). Gaussians use Box-Muller on two uniforms. Shuffles are
 Fisher-Yates with indices drawn by modulo reduction (the bias is far below
 anything observable at the sizes used here, and the draws stay pinned).
+
+Bulk draws (next_u64_array, gauss_vector) give the same stream as the same
+number of scalar calls, bit for bit, and leave the state and the Gaussian
+cache where those calls would. The step is linear over GF(2): the 256-bit
+state after k steps is T^k times the state, for a fixed 256x256 bit matrix T
+(Blackman & Vigna, "Scrambled linear pseudorandom number generators", ACM
+TOMS 2021). n draws are cut into K lanes of L steps each, L a power of two
+near sqrt(n) and K = ceil(n / L); lane k starts at T^(kL) times the state,
+found by doubling with the matrices T^(2^p), each applied by XOR table
+lookups on the packed bits (exact, with no float arithmetic). All lanes then step
+together as uint64 arrays, and lane k's L outputs are draws kL .. kL + L - 1.
+The matrices are built on first use by squaring and cached as packed bits,
+8 KB each. Below BULK_MIN_DRAWS draws the scalar loop is faster and runs
+instead. Box-Muller keeps Python's math.log, math.sin and math.cos on every
+element, because numpy's vectorised transcendentals are not promised to
+round as libm does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,6 +97,82 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+# Fewer draws than this take the scalar loop. Best of 5 on a 2-vCPU Xeon,
+# jump matrices cached: 64 uint64 draws took 0.18 ms in lanes against 0.05 ms
+# in the loop, 256 took 0.28 against 0.19 ms, 512 took 0.33 against 0.37 ms
+# (512 Gaussians 0.41 against 0.54 ms), 1024 took 0.40 against 0.71 ms.
+BULK_MIN_DRAWS = 512
+
+_U5, _U7, _U9, _U11, _U17, _U19, _U45, _U57 = (
+    np.uint64(k) for k in (5, 7, 9, 11, 17, 19, 45, 57))
+
+
+def _step_lanes(s: list[np.ndarray], out: np.ndarray | None = None) -> None:
+    """One xoshiro256** step of every lane: s holds the four state words as
+    uint64 arrays, one entry per lane, updated in place; out takes the outputs."""
+    s0, s1, s2, s3 = s
+    if out is not None:
+        x = s1 * _U5
+        np.bitwise_or(x << _U7, x >> _U57, out=x)
+        np.multiply(x, _U9, out=out)
+    t = s1 << _U17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.bitwise_or(s3 << _U45, s3 >> _U19, out=s3)
+
+
+_NIBBLE_ROWS = np.arange(0, 64 * 16, 16)  # the first table row of each state nibble
+
+
+def _apply_jump(cols: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """M times each state over GF(2), for the 256x256 bit matrix M whose
+    column j is cols[j]: states, cols and the result hold one state per row as
+    four uint64 words, bit j of a state being bit j % 64 of word j // 64.
+    Four Russians: for each of the 64 nibbles q of a state, a table of the
+    XOR of the columns 4q .. 4q + 3 that each nibble value selects, then one
+    lookup per nibble. No float arithmetic, so the product is exact."""
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    by_nibble = cols.reshape(64, 4, 1, 4)
+    for i in range(4):  # entries with bit i set: those without, XOR column 4q + i
+        np.bitwise_xor(table[:, :1 << i], by_nibble[:, i], out=table[:, 1 << i:2 << i])
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    nibbles = np.stack([octets & 15, octets >> 4], axis=2).reshape(len(octets), 64)
+    return np.bitwise_xor.reduce(table.reshape(-1, 4)[nibbles + _NIBBLE_ROWS], axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _jump(p: int) -> np.ndarray:
+    """T^(2^p) as its 256 columns (256 x 4 uint64, 8 KB): column j is 2^p steps
+    of the state that has only bit j set."""
+    if p == 0:
+        j = np.arange(256)
+        basis = np.zeros((4, 256), dtype=np.uint64)
+        basis[j // 64, j] = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
+        _step_lanes(list(basis))
+        cols = basis.T.copy()
+    else:
+        half = _jump(p - 1)
+        cols = _apply_jump(half, half)
+    cols.flags.writeable = False
+    return cols
+
+
+def _lane_starts(state: list[int], lane_len: int, lanes: int) -> list[np.ndarray]:
+    """The four state words of lanes 0 .. lanes - 1, lane k at T^(k * lane_len)
+    times state: each doubling jumps the lanes found so far by T^(have * lane_len)."""
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    starts[0] = np.array(state, dtype=np.uint64)
+    have, p = 1, lane_len.bit_length() - 1
+    while have < lanes:
+        take = min(have, lanes - have)
+        starts[have:have + take] = _apply_jump(_jump(p), starts[:take])
+        have, p = have + take, p + 1
+    return [np.ascontiguousarray(w) for w in starts.T]
+
+
 class Xoshiro256StarStar:
     """xoshiro256** stream seeded through splitmix64.
 
@@ -105,6 +200,21 @@ class Xoshiro256StarStar:
         s[2] ^= t
         s[3] = _rotl(s[3], 45)
         return result
+
+    def next_u64_array(self, n: int) -> np.ndarray:
+        """The next n next_u64() outputs as a uint64 array, in stream order."""
+        if n < BULK_MIN_DRAWS:
+            return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+        lane_len = 1 << round(math.log2(n) / 2)
+        lanes = -(-n // lane_len)
+        s = _lane_starts(self._s, lane_len, lanes)
+        out = np.empty((lane_len, lanes), dtype=np.uint64)
+        last = n - (lanes - 1) * lane_len  # steps the last lane must take
+        for i in range(lane_len):
+            _step_lanes(s, out[i])
+            if i + 1 == last:
+                self._s = [int(w[-1]) for w in s]
+        return out.T.reshape(-1)[:n]
 
     def random(self) -> float:
         """Uniform float in [0, 1) from the top 53 bits."""
@@ -147,5 +257,29 @@ class Xoshiro256StarStar:
         self._gauss_cache = radius * math.sin(theta)
         return radius * math.cos(theta)
 
-    def gauss_vector(self, n: int) -> list[float]:
-        return [self.gauss() for _ in range(n)]
+    def gauss_vector(self, n: int) -> np.ndarray:
+        """The next n gauss() values as a float array."""
+        out = np.empty(n)
+        head = 0
+        if n and self._gauss_cache is not None:
+            out[0], self._gauss_cache, head = self._gauss_cache, None, 1
+        pairs = (n - head + 1) // 2
+        if 2 * pairs >= BULK_MIN_DRAWS:
+            state = list(self._s)
+            u = (self.next_u64_array(2 * pairs) >> _U11).astype(np.float64) * (2.0 ** -53)
+            u1, u2 = u[0::2], u[1::2]
+            if u1.all():  # else gauss() redraws a u1 of 0: take the scalar loop
+                logs = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
+                radius = np.sqrt(-2.0 * logs)
+                theta = ((2.0 * math.pi) * u2).tolist()
+                z = np.empty((pairs, 2))
+                z[:, 0] = radius * np.fromiter(map(math.cos, theta), np.float64, pairs)
+                z[:, 1] = radius * np.fromiter(map(math.sin, theta), np.float64, pairs)
+                z = z.reshape(-1)
+                out[head:] = z[:n - head]
+                if (n - head) % 2:
+                    self._gauss_cache = float(z[-1])
+                return out
+            self._s = state
+        out[head:] = [self.gauss() for _ in range(n - head)]
+        return out

@@ -111,7 +111,7 @@ def generate(spec: SynthSpec) -> TimeSeriesDataset:
             values = np.empty((spec.tau, spec.channels))
             for ch in range(spec.channels):
                 clean = build(rng, spec.tau, cls)
-                noise = np.array(rng.gauss_vector(spec.tau)) * spec.noise_sigma
+                noise = rng.gauss_vector(spec.tau) * spec.noise_sigma
                 values[:, ch] = clean + noise
             sid = f"{spec.kind}-c{cls}-i{i:04d}"
             labels = np.full(spec.tau, cls, dtype=np.int64)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradient_reference
 from pointsets import point_sets
 from tsembed import classify, numcore
 from tsembed.classify import (CLASSIFIER_KINDS, LabeledMatrix, TreeNode, accuracy,
                               best_split, fit, fit_forest, fit_gnb, fit_knn,
                               fit_logreg, fit_mlp, fit_tree, predict)
-from tsembed.errors import ConfigError, ShapeError
+from tsembed.errors import ConfigError, NumericError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
 
@@ -223,6 +224,26 @@ def test_logreg_rejects_non_finite_params(key, value):
     data = blobs([(0, 0), (6, 6)], per_class=3, seed=69)
     with pytest.raises(ConfigError, match="finite"):
         fit_logreg(data, **{key: value})
+
+
+@pytest.mark.parametrize("centers,kwargs", [
+    ([(0, 0), (6, 6)], {}),                             # separable: stops on tol
+    ([(0, 0), (1, 1), (0, 1)], {"max_iter": 60}),       # overlapping: runs to max_iter
+    ([(0, 0), (2, 2)], {"lr": 40.0, "max_iter": 30}),   # the step halves
+])
+def test_logreg_matches_the_two_softmax_reference(centers, kwargs):
+    data = blobs(centers, spread=1.0, seed=90)
+    model = fit_logreg(data, **kwargs)
+    W, b, iters = gradient_reference.fit_logreg(data, **kwargs)
+    assert model.W.tobytes() == W.tobytes() and model.b.tobytes() == b.tobytes()
+    assert model.n_iters == iters > 1
+
+
+@pytest.mark.parametrize("l2", [1e200, 1e308])
+def test_logreg_divergence_is_a_numeric_error(l2):
+    data = blobs([(0, 0), (6, 6)], per_class=5, seed=91)
+    with pytest.raises(NumericError, match="diverged"):
+        fit_logreg(data, l2=l2)
 
 
 # ------------------------------------------------------------ tree
@@ -553,6 +574,16 @@ def test_forest_max_features_validation():
             fit_forest(data, n_trees=2, max_features=bad)
     with pytest.raises(ConfigError):
         fit_forest(data, n_trees=0)
+
+
+@pytest.mark.parametrize("per_class", [8, 300])  # 600 rows pass rng.BULK_MIN_DRAWS
+def test_forest_bootstrap_matches_per_row_randbelow(monkeypatch, per_class):
+    data = blobs([(0, 0), (2, 2)], per_class=per_class, spread=1.0, seed=75)
+    forest = fit_forest(data, n_trees=3, max_depth=3, seed=6)
+    monkeypatch.setattr(Xoshiro256StarStar, "next_u64_array",
+                        lambda rng, n: np.array([rng.randbelow(n) for _ in range(n)],
+                                                dtype=np.uint64))
+    assert fit_forest(data, n_trees=3, max_depth=3, seed=6) == forest
 
 
 # ------------------------------------------------------------ mlp

@@ -294,6 +294,46 @@ def test_tda_grid_size_below_two_is_one_error_line(tmp_path):
                    "'grid_size' must be between 2 and 4096, got 1")
 
 
+# each value exited 0 with only error:ConfigError cells; none depends on the data
+STATIC_RANGE_ERRORS = [
+    ({"kind": "knn", "params": {"k": 0}}, "'k' must be >= 1, got 0"),
+    ({"kind": "knn", "grid": {"k": [3, 0]}}, "'k' must be >= 1, got 0"),
+    ({"kind": "tree", "params": {"max_depth": 0}}, "'max_depth' must be >= 1, got 0"),
+    ({"kind": "forest", "params": {"n_trees": 0}}, "'n_trees' must be >= 1, got 0"),
+    ({"kind": "mlp", "params": {"hidden": 0}}, "'hidden' must be >= 1, got 0"),
+    ({"kind": "logreg", "params": {"max_iter": 0}}, "'max_iter' must be >= 1, got 0"),
+    ({"kind": "gnb", "params": {"var_floor": 0}}, "'var_floor' must be > 0.0, got 0"),
+]
+
+
+@pytest.mark.parametrize("classifier,message", STATIC_RANGE_ERRORS)
+def test_classifier_param_out_of_range_is_one_error_line(tmp_path, classifier, message):
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    obj = json.loads(cfg_path.read_text())
+    obj["classifiers"] = [classifier]
+    cfg_path.write_text(json.dumps(obj))
+    one_error_line(invoke("run", "--config", str(cfg_path)),
+                   f"classifier '{classifier['kind']}': parameter {message}")
+
+
+@pytest.mark.parametrize("params,status", [
+    ({"l2": 1e200}, "error:NumericError"),
+    ({"l2": 1e308}, "error:NumericError"),
+    ({"lr": 1e308}, "ok"),  # the overflowing first steps halve lr until the loss falls
+])
+def test_logreg_divergence_is_an_error_cell(tmp_path, params, status):
+    # the l2 cases used to report ok on NaN or infinite weights
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    obj = json.loads(cfg_path.read_text())
+    obj["embeddings"] = [{"method": "fft"}]
+    obj["classifiers"] = [{"kind": "logreg", "params": params}]
+    cfg_path.write_text(json.dumps(obj))
+    result = invoke("run", "--config", str(cfg_path))
+    assert result.exit_code == 0, result.output
+    cells = (tmp_path / "out" / "cells.csv").read_text().splitlines()
+    assert len(cells) == 2 and cells[1].endswith(f",{status}"), cells
+
+
 def test_segmentation_error_names_the_dataset(tmp_path):
     cfg_path = write_config(tmp_path, make_data(tmp_path))
     obj = json.loads(cfg_path.read_text())
@@ -398,6 +438,16 @@ def toy_csv(tmp_path_factory):
 @example(cfg=with_value(fuzz_config(), ("datasets", 0, "tau"), 2 ** 62))
 @example(cfg=with_value(fuzz_config(), TDA_GRID_SIZE, 2 ** 62))
 @example(cfg=with_value(fuzz_config(), WAVELET_OMEGA0, 1e308))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 0, "grid", "k", 0), 0))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 1, "params"), {"var_floor": 0}))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 2, "params", "max_iter"), 0))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 2, "params", "l2"), 1e200))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 2, "params", "l2"), 1e308))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 2, "params", "lr"), 1e308))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 3, "params", "max_depth"), 0))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 3),
+                        {"kind": "forest", "params": {"n_trees": 0}}))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 3), {"kind": "mlp", "params": {"hidden": 0}}))
 @example(cfg=fuzz_config())
 def test_mutated_configs_end_in_reports_or_one_error_line(toy_csv, cfg):
     runner = CliRunner()

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from csv_reference import load_long_csv_reference, load_wide_csv_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsembed.bench import load_config
 from tsembed.data_io import (SeriesRecord, TimeSeriesDataset, _long_columns, _wide_columns,
                              load_dataset, load_long_csv, load_wide_csv, save_wide_csv,
                              split_by_group)
+from tsembed.embed_neural import load_checkpoint
 from tsembed.errors import ConfigError, DataError, ParseError, SchemaError
 
 
@@ -175,6 +178,20 @@ def test_load_dataset_dispatch(tmp_path):
     assert load_dataset(path, "wide_csv").n_channels == 2
     with pytest.raises(ConfigError):
         load_dataset(path, "parquet")
+
+
+@pytest.mark.parametrize("load", [
+    lambda path: load_dataset(path, "wide_csv"),
+    lambda path: load_dataset(path, "long_csv"),
+    load_config,
+    load_checkpoint,
+], ids=["wide_csv", "long_csv", "config", "checkpoint"])
+@pytest.mark.parametrize("where,reason", [("missing.csv", "No such file"), (".", "Is a directory")])
+def test_unreadable_path_is_a_parse_error_naming_it(tmp_path, load, where, reason):
+    # the OSError used to escape, though every tsembed error derives from TsembedError
+    path = str(tmp_path / where)
+    with pytest.raises(ParseError, match=f"^{re.escape(path)}: cannot read .*{reason}"):
+        load(path)
 
 
 def test_alphabet_first_appearance_order(tmp_path):

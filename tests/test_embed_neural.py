@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import gradient_reference
 from batches import window_batch
+from tsembed import embed_neural
 from tsembed.embed_neural import (ADAM_EPS, ADAM_STEP, AdamState,
                                   AutoencoderModel, NetworkSpec, adam_step,
                                   ae_embed, ae_train,
@@ -202,6 +204,25 @@ def test_adam_updates_in_place_and_converges_on_quadratic():
     assert params[0][0][0, 0] == pytest.approx(3.0, abs=1e-2)
 
 
+def test_adam_step_matches_the_allocating_reference():
+    rng = Xoshiro256StarStar(40)
+    shapes = [((5, 3), (5,)), ((2, 5), (2,))]
+    params = [(rng.gauss_vector(w[0] * w[1]).reshape(w), rng.gauss_vector(b[0]))
+              for w, b in shapes]
+    ref_params = [(W.copy(), b.copy()) for W, b in params]
+    state, ref_state = AdamState.zeros_like(params), AdamState.zeros_like(ref_params)
+    for step in range(40):
+        grads = [(rng.gauss_vector(W.size).reshape(W.shape) * 10.0 ** (step % 5 - 2),
+                  rng.gauss_vector(b.size)) for W, b in params]
+        adam_step(params, grads, state)
+        gradient_reference.adam_step(ref_params, grads, ref_state)
+        for got, want in zip(params + state.m + state.v,
+                             ref_params + ref_state.m + ref_state.v):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+    assert state.t == ref_state.t == 40
+
+
 # ------------------------------------------------------------ autoencoder
 
 def planar_windows(n=60, tau=8, channels=2, seed=6):
@@ -318,3 +339,15 @@ def test_checkpoint_unwritable_path_is_config_error(tmp_path):
     model = ae_train(planar_windows(n=15), d=2, epochs=1, seed=8)
     with pytest.raises(ConfigError, match="cannot write"):
         save_checkpoint(model, tmp_path / "missing" / "ae.json")
+
+
+@pytest.mark.parametrize("tau,channels", [(8, 2), (64, 1)])
+def test_ae_checkpoint_matches_reference_init_and_adam(tmp_path, monkeypatch, tau, channels):
+    # tau 64 puts the encoder's 64 x 128 weights past rng.BULK_MIN_DRAWS
+    windows = planar_windows(n=20, tau=tau, channels=channels)
+    save_checkpoint(ae_train(windows, d=3, epochs=4, batch=8, seed=12), tmp_path / "fast.json")
+    monkeypatch.setattr(Xoshiro256StarStar, "gauss_vector",
+                        lambda rng, n: np.array(gradient_reference.gauss_vector(rng, n)))
+    monkeypatch.setattr(embed_neural, "adam_step", gradient_reference.adam_step)
+    save_checkpoint(ae_train(windows, d=3, epochs=4, batch=8, seed=12), tmp_path / "ref.json")
+    assert (tmp_path / "fast.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

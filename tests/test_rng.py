@@ -2,9 +2,13 @@
 
 import math
 
+import gradient_reference
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tsembed.rng import Xoshiro256StarStar, derive_seed, splitmix64_next
+from tsembed.rng import BULK_MIN_DRAWS, Xoshiro256StarStar, derive_seed, splitmix64_next
 
 # Reference outputs of splitmix64 for seed 0 (known-answer vectors).
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -96,3 +100,58 @@ def test_derive_seed_stable_and_sensitive():
 
 def test_derive_seed_accepts_ints():
     assert derive_seed(1, "tree", 3) != derive_seed(1, "tree", 4)
+
+
+# ------------------------------------------------------------ bulk draws
+
+def scalar_call(rng, op, n):
+    """What a bulk call must equal: the same number of scalar calls."""
+    if op == "u64":
+        return [rng.next_u64() for _ in range(n)]
+    return gradient_reference.gauss_vector(rng, n)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), cached=st.booleans(),
+       calls=st.lists(st.tuples(st.sampled_from(["u64", "gauss", "scalar u64",
+                                                 "scalar gauss"]),
+                                st.one_of(st.integers(0, 4), st.integers(0, 3 * BULK_MIN_DRAWS))),
+                      min_size=1, max_size=4))
+def test_bulk_draws_equal_scalar_calls(seed, cached, calls):
+    bulk, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    if cached:  # a Gaussian waits in the cache on entry
+        assert bulk.gauss() == scalar.gauss()
+    for op, n in calls:
+        if op == "u64":
+            got = bulk.next_u64_array(n)
+            assert got.dtype == np.uint64 and got.shape == (n,)
+        elif op == "gauss":
+            got = bulk.gauss_vector(n)
+            assert got.dtype == np.float64 and got.shape == (n,)
+        else:
+            op = op.split()[1]
+            got = scalar_call(bulk, op, n)
+        dtype = np.uint64 if op == "u64" else np.float64
+        assert np.array(got, dtype).tobytes() == np.array(scalar_call(scalar, op, n),
+                                                          dtype).tobytes(), (op, n)
+        assert bulk._s == scalar._s
+        assert bulk._gauss_cache == scalar._gauss_cache
+
+
+@pytest.mark.parametrize("n", [BULK_MIN_DRAWS, 2 * BULK_MIN_DRAWS + 1])
+def test_gauss_vector_takes_the_scalar_loop_on_a_zero_uniform(monkeypatch, n):
+    # the 2^-53 event: gauss() redraws a first uniform of 0, which shifts the
+    # pairs, so the bulk path must restore the state and run the scalar loop
+    bulk_draw = Xoshiro256StarStar.next_u64_array
+    calls = []
+
+    def with_zero_u1(self, count):
+        out = bulk_draw(self, count)
+        calls.append(count)
+        out[2] = 7  # the second pair's u1: (7 >> 11) * 2**-53 == 0.0
+        return out
+
+    monkeypatch.setattr(Xoshiro256StarStar, "next_u64_array", with_zero_u1)
+    rng, ref = Xoshiro256StarStar(77), Xoshiro256StarStar(77)
+    assert rng.gauss_vector(n).tobytes() == np.array(gradient_reference.gauss_vector(ref, n)).tobytes()
+    assert calls and rng._s == ref._s and rng._gauss_cache == ref._gauss_cache
