@@ -25,15 +25,17 @@ ordering of each row, so any strictly monotone per-row transform leaves the
 output unchanged.
 
 Report files (CSV: comma delimiter, "." decimal, LF endings, 6 significant
-digits): cells.csv, summary.csv, ranks.csv are byte-deterministic for a fixed
-config and seed; wall-clock numbers live only in timings.csv. manifest.json
-records the parsed config and the effective per-method parameters.
+digits; a name or series id holding a comma, a quote, CR or LF is quoted as
+csv.writer quotes it): cells.csv, summary.csv, ranks.csv are byte-deterministic
+for a fixed config and seed; wall-clock numbers live only in timings.csv.
+manifest.json records the parsed config and the effective per-method parameters.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -74,7 +76,6 @@ class DatasetCfg:
     train_path: str | None = None
     val_path: str | None = None
     test_path: str | None = None
-    channels: int | None = None
     ratios: tuple[float, float, float] = DEFAULT_RATIOS
 
 
@@ -127,7 +128,7 @@ def _parse_dataset(obj: dict, index: int) -> DatasetCfg:
     _require_keys(
         obj,
         allowed={"name", "tau", "omega", "normalization", "format", "path",
-                 "train_path", "val_path", "test_path", "channels", "ratios"},
+                 "train_path", "val_path", "test_path", "ratios"},
         required={"name", "tau", "omega", "normalization", "format"},
         where=where)
     for key in ("name", "path", "train_path", "val_path", "test_path"):
@@ -151,16 +152,13 @@ def _parse_dataset(obj: dict, index: int) -> DatasetCfg:
         raise ConfigError(f"{where}: ratios must be a list of three entries")
     for r in ratios:
         classify.check_value(r, float, f"{where}: ratios")
-    channels = obj.get("channels")
-    if channels is not None:
-        channels = classify.check_value(channels, int, f"{where}: channels")
     return DatasetCfg(
         name=obj["name"], tau=classify.check_value(obj["tau"], int, f"{where}: tau"),
         omega=classify.check_value(obj["omega"], int, f"{where}: omega"),
         normalization=obj["normalization"], format=obj["format"],
         path=obj.get("path"), train_path=obj.get("train_path"),
         val_path=obj.get("val_path"), test_path=obj.get("test_path"),
-        channels=channels, ratios=tuple(ratios))
+        ratios=tuple(ratios))
 
 
 def _parse_embedding(obj: dict, index: int) -> EmbeddingCfg:
@@ -411,36 +409,33 @@ class EvaluationReport:
 
 
 def _load_splits(ds: DatasetCfg, master_seed: int):
-    try:
-        if ds.path is not None:
-            full = load_dataset(ds.path, ds.format, ds.channels)
-            seed = derive_seed(master_seed, ds.name, "split")
-            return split_by_group(full, ds.ratios, seed)
-        loaded = [load_dataset(p, ds.format, ds.channels)
-                  for p in (ds.train_path, ds.val_path, ds.test_path)]
-        if len({part.n_channels for part in loaded}) != 1:
-            raise ConfigError("split files disagree on channel count")
-        alphabet: dict[str, int] = {}  # label token -> first-appearance id over the files
-        for part in loaded:
-            remap = np.array([alphabet.setdefault(t, len(alphabet)) for t in part.label_alphabet],
-                             dtype=np.int64)
-            for rec in part.series:
-                rec.labels = remap[rec.labels]
-        return tuple(TimeSeriesDataset(part.series, part.n_channels, list(alphabet))
-                     for part in loaded)
-    except TsembedError as e:
-        raise type(e)(f"dataset {ds.name!r}: {e}") from None
+    if ds.path is not None:
+        full = load_dataset(ds.path, ds.format)
+        seed = derive_seed(master_seed, ds.name, "split")
+        return split_by_group(full, ds.ratios, seed)
+    loaded = [load_dataset(p, ds.format) for p in (ds.train_path, ds.val_path, ds.test_path)]
+    if len({part.n_channels for part in loaded}) != 1:
+        raise ConfigError("split files disagree on channel count")
+    alphabet: dict[str, int] = {}  # label token -> first-appearance id over the files
+    for part in loaded:
+        remap = np.array([alphabet.setdefault(t, len(alphabet)) for t in part.label_alphabet],
+                         dtype=np.int64)
+        for rec in part.series:
+            rec.labels = remap[rec.labels]
+    return tuple(TimeSeriesDataset(part.series, part.n_channels, list(alphabet))
+                 for part in loaded)
 
 
 def _prepare(ds: DatasetCfg, master_seed: int) -> list[WindowBatch]:
-    """Train, val and test windows, normalized with statistics of train."""
-    parts = _load_splits(ds, master_seed)
+    """Train, val and test windows, normalized with statistics of train; a
+    TsembedError from loading or segmenting names the dataset."""
     try:
-        splits = [segment_dataset(part, ds.tau, ds.omega) for part in parts]
+        splits = [segment_dataset(part, ds.tau, ds.omega)
+                  for part in _load_splits(ds, master_seed)]
+        if not splits[0]:
+            raise ConfigError("no training windows after segmentation")
     except TsembedError as e:
         raise type(e)(f"dataset {ds.name!r}: {e}") from None
-    if not splits[0]:
-        raise ConfigError(f"dataset {ds.name!r}: no training windows after segmentation")
     norm = fit_normalizer(splits[0], ds.normalization)
     return [apply_normalizer_all(norm, windows) for windows in splits]
 
@@ -453,9 +448,6 @@ def _expand_grid(grid: dict) -> list[dict]:
     for key in keys:
         combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
     return combos
-
-
-_SEEDED_KINDS = {"forest", "mlp"}
 
 
 def _error_cell(dataset: str, embedding: str, classifier: str,
@@ -494,7 +486,7 @@ def _run_cell(dataset: str, embedding: str, clf: ClassifierCfg,
     error: TsembedError = ConfigError("no grid combination fit")
     for combo in _expand_grid(clf.grid):
         params = {**clf.params, **combo}
-        if clf.kind in _SEEDED_KINDS and "seed" not in params:
+        if clf.kind in classify.SEEDED_KINDS and "seed" not in params:
             params["seed"] = cell_seed
         accs = []
         try:
@@ -597,6 +589,16 @@ def make_output_dir(path: str) -> None:
         raise ConfigError(f"output_dir {path!r}: {e}") from None
 
 
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_fields(*texts: str) -> str:
+    """texts as CSV fields, as csv.writer writes them: one that holds a comma,
+    a quote, CR or LF goes in quotes with its own quotes doubled."""
+    return ",".join('"' + t.replace('"', '""') + '"' if _CSV_SPECIAL.search(t) else t
+                    for t in texts)
+
+
 def _write_lines(out_dir: str, name: str, lines: list[str]) -> str:
     """Write LF-terminated lines to out_dir/name; a failed write is a ConfigError."""
     path = os.path.join(out_dir, name)
@@ -615,23 +617,23 @@ def emit_reports(report: EvaluationReport, output_dir: str) -> list[str]:
     lines = ["dataset,embedding,classifier,accuracy,status"]
     for c in report.cells:
         acc = fmt(c.accuracy) if c.accuracy is not None else ""
-        lines.append(f"{c.dataset},{c.embedding},{c.classifier},{acc},{c.status}")
+        lines.append(f"{_csv_fields(c.dataset, c.embedding, c.classifier)},{acc},{c.status}")
     paths.append(_write_lines(output_dir, "cells.csv", lines))
 
     lines = ["dataset,embedding,mean_accuracy,std_accuracy"]
     for ds_name, emb_name, mean, std in report.summary:
-        lines.append(f"{ds_name},{emb_name},{fmt(mean)},{fmt(std)}")
+        lines.append(f"{_csv_fields(ds_name, emb_name)},{fmt(mean)},{fmt(std)}")
     paths.append(_write_lines(output_dir, "summary.csv", lines))
 
     lines = ["embedding,avg_rank"]
     for name, rank in report.avg_ranks:
-        lines.append(f"{name},{fmt(rank)}")
+        lines.append(f"{_csv_fields(name)},{fmt(rank)}")
     paths.append(_write_lines(output_dir, "ranks.csv", lines))
 
     lines = ["dataset,embedding,classifier,classifier_fit_seconds,"
              "embed_train_seconds,embed_infer_seconds"]
     for ds_name, emb_name, clf_name, clf_s, train_s, infer_s in report.timings:
-        lines.append(f"{ds_name},{emb_name},{clf_name},{fmt(clf_s)},"
+        lines.append(f"{_csv_fields(ds_name, emb_name, clf_name)},{fmt(clf_s)},"
                      f"{fmt(train_s)},{fmt(infer_s)}")
     paths.append(_write_lines(output_dir, "timings.csv", lines))
 
@@ -672,7 +674,7 @@ def dump_embeddings(cfg: BenchConfig, dataset_name: str, embedding_name: str,
 
     lines = [",".join(["id", "label"] + [f"v{i}" for i in range(X.shape[1])])]
     row_fmt = ",".join(["%.6g"] * X.shape[1])  # fmt() on each value, one % per row
-    lines += [f"{source_id}:{start},{label}," + row_fmt % tuple(row)
+    lines += [f"{_csv_fields(f'{source_id}:{start}')},{label}," + row_fmt % tuple(row)
               for source_id, start, label, row in zip(
                   windows.source_ids, windows.starts.tolist(), windows.labels.tolist(),
                   X.tolist())]

@@ -149,6 +149,9 @@ def fit_gnb(data: LabeledMatrix, var_floor: float = 1e-9) -> GnbModel:
     means = np.stack([data.X[data.y == c].mean(axis=0) for c in classes])
     variances = np.stack([
         np.maximum(data.X[data.y == c].var(axis=0), var_floor) for c in classes])
+    with np.errstate(over="ignore"):  # log(2 pi var), the likelihood's normaliser
+        if not np.isfinite(2.0 * np.pi * variances).all():
+            raise NumericError(f"gnb: 2*pi*variance overflows (var_floor {var_floor!r})")
     priors = np.array([(data.y == c).sum() for c in classes], dtype=float)
     priors /= priors.sum()
     return GnbModel(classes, means, variances, np.log(priors))
@@ -166,6 +169,15 @@ def _predict_gnb(model: GnbModel, X: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- logreg
 
+def _onehot(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted classes of y, each row's index among them, one-hot rows."""
+    classes = np.unique(y)
+    class_index = np.searchsorted(classes, y)
+    onehot = np.zeros((y.shape[0], classes.shape[0]))
+    onehot[np.arange(y.shape[0]), class_index] = 1.0
+    return classes, class_index, onehot
+
+
 def fit_logreg(data: LabeledMatrix, l2: float = 1e-4,
                max_iter: int = 500, tol: float = 1e-6,
                lr: float = 0.5) -> LogRegModel:
@@ -179,15 +191,10 @@ def fit_logreg(data: LabeledMatrix, l2: float = 1e-4,
     if not all(math.isfinite(v) for v in (l2, tol, lr)):
         raise ConfigError("logreg l2, tol and lr must be finite")
     check_ranges("logreg", {"l2": l2, "max_iter": max_iter, "tol": tol, "lr": lr})
-    classes = np.unique(data.y)
+    classes, class_index, onehot = _onehot(data.y)
     n, d = data.X.shape
-    C = classes.shape[0]
-    class_index = np.searchsorted(classes, data.y)
-    onehot = np.zeros((n, C))
-    onehot[np.arange(n), class_index] = 1.0
-
-    W = np.zeros((C, d))
-    b = np.zeros(C)
+    W = np.zeros((classes.shape[0], d))
+    b = np.zeros(classes.shape[0])
 
     def loss_of(W_, b_):
         """(loss, softmax probabilities) at (W_, b_)."""
@@ -391,14 +398,9 @@ def fit_mlp(data: LabeledMatrix, hidden: int = 64,
             seed: int = 0) -> MlpModel:
     """One-hidden-layer softmax network trained with Adam on cross-entropy."""
     check_ranges("mlp", {"hidden": hidden, "epochs": epochs, "batch": batch})
-    classes = np.unique(data.y)
+    classes, _, onehot = _onehot(data.y)
     n, d = data.X.shape
-    C = classes.shape[0]
-    class_index = np.searchsorted(classes, data.y)
-    onehot = np.zeros((n, C))
-    onehot[np.arange(n), class_index] = 1.0
-
-    spec = NetworkSpec((d, hidden, C), hidden="relu", output="softmax")
+    spec = NetworkSpec((d, hidden, classes.shape[0]), hidden="relu", output="softmax")
     rng = Xoshiro256StarStar(seed)
     params = init_network(spec, rng)
     state = AdamState.zeros_like(params)
@@ -438,6 +440,9 @@ _DEFAULTS = {kind: {name: p.default for name, p in inspect.signature(fitter).par
              for kind, fitter in _FITTERS.items()}
 
 CLASSIFIER_KINDS = tuple(sorted(_FITTERS))
+
+# the kinds whose fitter takes a seed; bench gives each cell's seed to them
+SEEDED_KINDS = frozenset(kind for kind, defaults in _DEFAULTS.items() if "seed" in defaults)
 
 # kind -> {param: (bound, whether the bound itself is allowed)}: the lower
 # bounds that hold whatever the data, checked by each fitter and, through

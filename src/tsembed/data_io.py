@@ -6,9 +6,9 @@ long CSV   header ``series_id,group,channel,t,value,label``; one row per
            (series, channel, timestep). Every series must cover the full
            channels x timesteps grid. Series may have different lengths.
 
-wide CSV   optional first comment line ``# channels=C``; header
-           ``series_id,group,label,c0_t0,...,c{C-1}_t{T-1}``; one row per
-           series, channel-major flattened values. All series share one T.
+wide CSV   header ``series_id,group,label,c0_t0,...,c{C-1}_t{T-1}``, which fixes
+           C and T (an optional first line ``# channels=C`` must agree); one row
+           per series, channel-major flattened values. All series share one T.
 
 Labels are arbitrary tokens in the files and are mapped to dense 0-based ids
 in first-appearance order (file order), so the mapping depends only on file
@@ -278,9 +278,10 @@ def _long_rows(path: str, rows) -> TimeSeriesDataset:
     return TimeSeriesDataset(records, n_channels or 0, list(alphabet))
 
 
-def load_wide_csv(path: str, channels: int | None = None) -> TimeSeriesDataset:
-    """Load the wide layout. Channel count comes from the ``# channels=C``
-    comment or the ``channels`` argument; the argument wins if both exist."""
+def load_wide_csv(path: str) -> TimeSeriesDataset:
+    """Load the wide layout. The header's value column names give the channel
+    count C and the length T; an optional ``# channels=C`` first line must
+    agree with them."""
     with open_text(path) as fh:
         first = fh.readline()
         line_no = 1
@@ -294,28 +295,21 @@ def load_wide_csv(path: str, channels: int | None = None) -> TimeSeriesDataset:
             line_no = 2
         else:
             header_line = first
-        if channels is not None and file_channels is not None and channels != file_channels:
-            raise ConfigError(
-                f"{path}: channel argument {channels} conflicts with file comment "
-                f"channels={file_channels}")
-        n_ch = channels if channels is not None else file_channels
-        if n_ch is None:
-            raise ConfigError(f"{path}: channel count not given (no comment, no argument)")
-        if n_ch < 1:
-            raise ConfigError(f"{path}: channel count must be >= 1, got {n_ch}")
 
         _, header = next(csv_records(path, [header_line], line_no), (line_no, None))
         if header is None or header[:3] != ["series_id", "group", "label"]:
             raise ParseError(f"line {line_no}: unexpected wide CSV header")
-        n_values = len(header) - 3
-        if n_values < 1 or n_values % n_ch != 0:
-            raise SchemaError(
-                f"{path}: {n_values} value columns not divisible by {n_ch} channels")
-        T = n_values // n_ch
-        expected_cols = [f"c{c}_t{t}" for c in range(n_ch) for t in range(T)]
-        if header[3:] != expected_cols:
+        names = header[3:]
+        # T counts the leading channel-0 names and C the names over T: the
+        # expected list is never longer than the header (c999999999_t9 is safe)
+        T = next((i for i, name in enumerate(names) if not name.startswith("c0_")), len(names))
+        n_ch = len(names) // T if T else 0
+        if not n_ch or names != [f"c{c}_t{t}" for c in range(n_ch) for t in range(T)]:
             raise ParseError(f"line {line_no}: value column names do not match "
                              f"channel-major c<c>_t<t> layout")
+        if file_channels is not None and file_channels != n_ch:
+            raise SchemaError(f"line 1: channels={file_channels} disagrees with the "
+                              f"{n_ch} channel(s) of the header")
 
         ds = (_wide_columns(path, line_no, n_ch, T)
               or _wide_rows(path, csv_records(path, fh, line_no + 1), len(header), n_ch, T))
@@ -359,12 +353,12 @@ def _wide_rows(path: str, rows, n_fields: int, n_ch: int, T: int) -> TimeSeriesD
     return TimeSeriesDataset(records, n_ch, list(alphabet))
 
 
-def load_dataset(path: str, fmt: str, channels: int | None = None) -> TimeSeriesDataset:
+def load_dataset(path: str, fmt: str) -> TimeSeriesDataset:
     """Load either layout; a TsembedError's message names path once, up front."""
     if fmt not in ("long_csv", "wide_csv"):
         raise ConfigError(f"unknown dataset format {fmt!r}")
     try:
-        return load_long_csv(path) if fmt == "long_csv" else load_wide_csv(path, channels)
+        return load_long_csv(path) if fmt == "long_csv" else load_wide_csv(path)
     except TsembedError as e:
         if str(e).startswith(path):
             raise

@@ -59,10 +59,9 @@ def symmetric_eig(A: np.ndarray) -> EigenResult:
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    if vectors.size:
+        k = np.argmax(np.abs(vectors), axis=0)  # first index on ties
+        vectors *= np.where(vectors[k, np.arange(k.shape[0])] < 0, -1.0, 1.0)
     return EigenResult(values, vectors)
 
 

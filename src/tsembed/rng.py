@@ -38,10 +38,10 @@ found by doubling with the matrices T^(2^p), each applied by XOR table
 lookups on the packed bits (exact, with no float arithmetic). All lanes then step
 together as uint64 arrays, and lane k's L outputs are draws kL .. kL + L - 1.
 The matrices are built on first use by squaring and cached as packed bits,
-8 KB each. Below BULK_MIN_DRAWS draws the scalar loop is faster and runs
-instead. Box-Muller keeps Python's math.log, math.sin and math.cos on every
-element, because numpy's vectorised transcendentals are not promised to
-round as libm does.
+8 KB each. Below BULK_MIN_DRAWS draws next_u64_array runs the faster scalar
+loop; gauss_vector takes every draw from it. Box-Muller keeps Python's
+math.log, math.sin and math.cos on every element, because numpy's vectorised
+transcendentals are not promised to round as libm does.
 """
 
 from __future__ import annotations
@@ -264,22 +264,21 @@ class Xoshiro256StarStar:
         if n and self._gauss_cache is not None:
             out[0], self._gauss_cache, head = self._gauss_cache, None, 1
         pairs = (n - head + 1) // 2
-        if 2 * pairs >= BULK_MIN_DRAWS:
-            state = list(self._s)
-            u = (self.next_u64_array(2 * pairs) >> _U11).astype(np.float64) * (2.0 ** -53)
-            u1, u2 = u[0::2], u[1::2]
-            if u1.all():  # else gauss() redraws a u1 of 0: take the scalar loop
-                logs = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
-                radius = np.sqrt(-2.0 * logs)
-                theta = ((2.0 * math.pi) * u2).tolist()
-                z = np.empty((pairs, 2))
-                z[:, 0] = radius * np.fromiter(map(math.cos, theta), np.float64, pairs)
-                z[:, 1] = radius * np.fromiter(map(math.sin, theta), np.float64, pairs)
-                z = z.reshape(-1)
-                out[head:] = z[:n - head]
-                if (n - head) % 2:
-                    self._gauss_cache = float(z[-1])
-                return out
-            self._s = state
+        state = list(self._s)
+        u = (self.next_u64_array(2 * pairs) >> _U11).astype(np.float64) * (2.0 ** -53)
+        u1, u2 = u[0::2], u[1::2]
+        if u1.all():  # else gauss() redraws a u1 of 0: take the scalar loop
+            logs = np.fromiter(map(math.log, u1.tolist()), np.float64, pairs)
+            radius = np.sqrt(-2.0 * logs)
+            theta = ((2.0 * math.pi) * u2).tolist()
+            z = np.empty((pairs, 2))
+            z[:, 0] = radius * np.fromiter(map(math.cos, theta), np.float64, pairs)
+            z[:, 1] = radius * np.fromiter(map(math.sin, theta), np.float64, pairs)
+            z = z.reshape(-1)
+            out[head:] = z[:n - head]
+            if (n - head) % 2:
+                self._gauss_cache = float(z[-1])
+            return out
+        self._s = state
         out[head:] = [self.gauss() for _ in range(n - head)]
         return out

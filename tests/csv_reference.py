@@ -6,12 +6,13 @@ and message, on every file.
 """
 
 import csv
+import re
 
 import numpy as np
 
 from tsembed.data_io import (SeriesRecord, TimeSeriesDataset, _parse_float, _parse_int,
                              open_text)
-from tsembed.errors import ConfigError, DataError, ParseError, SchemaError
+from tsembed.errors import DataError, ParseError, SchemaError
 
 
 class _LabelAlphabet:
@@ -95,9 +96,10 @@ def load_long_csv_reference(path: str) -> TimeSeriesDataset:
     return ds
 
 
-def load_wide_csv_reference(path: str, channels: int | None = None) -> TimeSeriesDataset:
-    """Load the wide layout. Channel count comes from the ``# channels=C``
-    comment or the ``channels`` argument; the argument wins if both exist."""
+def load_wide_csv_reference(path: str) -> TimeSeriesDataset:
+    """Load the wide layout. The last value column's name c<C-1>_t<T-1> gives
+    the channel count C and the length T; an optional ``# channels=C`` first
+    line must agree with them."""
     with open_text(path) as fh:
         first = fh.readline()
         line_no = 1
@@ -111,28 +113,21 @@ def load_wide_csv_reference(path: str, channels: int | None = None) -> TimeSerie
             line_no = 2
         else:
             header_line = first
-        if channels is not None and file_channels is not None and channels != file_channels:
-            raise ConfigError(
-                f"{path}: channel argument {channels} conflicts with file comment "
-                f"channels={file_channels}")
-        n_ch = channels if channels is not None else file_channels
-        if n_ch is None:
-            raise ConfigError(f"{path}: channel count not given (no comment, no argument)")
-        if n_ch < 1:
-            raise ConfigError(f"{path}: channel count must be >= 1, got {n_ch}")
 
         header = next(csv.reader([header_line]), None)
         if header is None or header[:3] != ["series_id", "group", "label"]:
             raise ParseError(f"line {line_no}: unexpected wide CSV header")
-        n_values = len(header) - 3
-        if n_values < 1 or n_values % n_ch != 0:
-            raise SchemaError(
-                f"{path}: {n_values} value columns not divisible by {n_ch} channels")
-        T = n_values // n_ch
-        expected_cols = [f"c{c}_t{t}" for c in range(n_ch) for t in range(T)]
-        if header[3:] != expected_cols:
+        names = header[3:]
+        last = re.fullmatch(r"c([0-9]+)_t([0-9]+)", names[-1]) if names else None
+        n_ch, T = (int(last[1]) + 1, int(last[2]) + 1) if last else (0, 0)
+        # the count is checked first, so c999999999_t9 cannot size the list
+        if (not last or n_ch * T != len(names)
+                or names != [f"c{c}_t{t}" for c in range(n_ch) for t in range(T)]):
             raise ParseError(f"line {line_no}: value column names do not match "
                              f"channel-major c<c>_t<t> layout")
+        if file_channels is not None and file_channels != n_ch:
+            raise SchemaError(f"line 1: channels={file_channels} disagrees with the "
+                              f"{n_ch} channel(s) of the header")
 
         alphabet = _LabelAlphabet()
         records = []

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from tsembed import classify
-from tsembed.bench import _SEEDED_KINDS, CellResult, ClassifierCfg, _error_cell, _expand_grid
+from tsembed.bench import CellResult, ClassifierCfg, _error_cell, _expand_grid
 from tsembed.errors import ConfigError, TsembedError
 from tsembed.rng import Xoshiro256StarStar, derive_seed
 
@@ -50,7 +50,7 @@ def _run_cell(dataset: str, embedding: str, clf: ClassifierCfg,
     t0 = time.perf_counter()
     for combo in combos:
         params = {**clf.params, **combo}
-        if clf.kind in _SEEDED_KINDS and "seed" not in params:
+        if clf.kind in classify.SEEDED_KINDS and "seed" not in params:
             params["seed"] = cell_seed
         try:
             if Xval is not None and Xval.shape[0] > 0:

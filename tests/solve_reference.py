@@ -1,12 +1,29 @@
-"""The one-system LU solver that tsembed.numcore.linear_solve_batched replaced.
+"""The one-system LU solver that tsembed.numcore.linear_solve_batched replaced,
+and the per-column sign loop that tsembed.numcore.symmetric_eig replaced.
 
-It is the reference the batched solver must match: the same answer bytes, or
-the same NumericError message, system by system.
+They are the references numcore must match: the same answer bytes, or the
+same NumericError message, system by system; the same eigenvector bytes.
 """
 
 import numpy as np
 
 from tsembed.errors import NumericError, ShapeError
+from tsembed.numcore import EigenResult
+
+
+def symmetric_eig(A: np.ndarray) -> EigenResult:
+    """Eigenvalues descending; each vector turned so its largest-magnitude
+    entry (first such index on ties) is positive, one column at a time."""
+    A = np.asarray(A, dtype=float)
+    values, vectors = np.linalg.eigh((A + A.T) / 2.0)
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+    for j in range(vectors.shape[1]):
+        k = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[k, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return EigenResult(values, vectors)
 
 
 def linear_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from test_classify import predict_knn_reference
 from test_embed_subspace import lle_fit_reference, lle_transform_reference
 from tsembed import bench, classify
 from tsembed.bench import (CellResult, DatasetCfg, EmbeddingCfg, _expand_grid, _folds,
-                           _load_splits, _run_cell, average_rank, dump_embeddings,
+                           _load_splits, _prepare, _run_cell, average_rank, dump_embeddings,
                            emit_reports, load_config, make_embedder, parse_config,
                            read_accuracy_csv, run_grid)
 from tsembed.data_io import save_wide_csv
@@ -155,6 +156,7 @@ def test_parse_config_rejects_unknown_keys_everywhere(tones_csv, tmp_path):
     for mutate in (
         lambda o: o.update(extra=1),
         lambda o: o["datasets"][0].update(windowing="fancy"),
+        lambda o: o["datasets"][0].update(channels=1),  # the header gives the count
         lambda o: o["embeddings"][0].update(pipeline=2),
         lambda o: o["classifiers"][0].update(weight="auto"),
     ):
@@ -293,9 +295,6 @@ def test_parse_config_rejects_unknown_embedding_params(tones_csv, tmp_path):
     ("dataset", "omega", True),
     ("dataset", "omega", "0"),
     ("dataset", "omega", 1.0),
-    ("dataset", "channels", "x"),
-    ("dataset", "channels", True),
-    ("dataset", "channels", 2.0),
 ])
 def test_parse_config_rejects_non_integer_dataset_fields(tones_csv, tmp_path,
                                                          where, key, value):
@@ -325,12 +324,11 @@ def test_parse_config_rejects_bad_ratios(tones_csv, tmp_path, ratios):
 
 def test_parse_config_keeps_well_typed_dataset_fields(tones_csv, tmp_path):
     obj = base_config(tones_csv, tmp_path, seed=np.int64(9))
-    obj["datasets"][0].update(tau=np.int32(8), omega=2, channels=1,
-                              ratios=[1, 0, 0])
+    obj["datasets"][0].update(tau=np.int32(8), omega=2, ratios=[1, 0, 0])
     cfg = parse_config(obj)
     ds = cfg.datasets[0]
-    assert (cfg.seed, ds.tau, ds.omega, ds.channels, ds.ratios) == (9, 8, 2, 1, (1, 0, 0))
-    assert all(type(v) is int for v in (cfg.seed, ds.tau, ds.omega, ds.channels))
+    assert (cfg.seed, ds.tau, ds.omega, ds.ratios) == (9, 8, 2, (1, 0, 0))
+    assert all(type(v) is int for v in (cfg.seed, ds.tau, ds.omega))
 
 
 @pytest.mark.parametrize("method, params", [
@@ -504,8 +502,8 @@ def test_load_splits_unions_alphabets(tmp_path):
 def test_load_splits_wraps_errors_with_dataset_name(tmp_path):
     ds_cfg = DatasetCfg(name="ghost", tau=4, omega=0, normalization="zscore",
                         format="wide_csv", path=str(tmp_path / "missing.csv"))
-    with pytest.raises(Exception, match="dataset 'ghost'"):
-        _load_splits(ds_cfg, master_seed=0)
+    with pytest.raises(ParseError, match="^dataset 'ghost': .*missing.csv: cannot read"):
+        _prepare(ds_cfg, master_seed=0)
 
 
 # ------------------------------------------------------------ end to end
@@ -761,6 +759,35 @@ def test_dump_embeddings(tones_csv, tmp_path):
         dump_embeddings(cfg, "nope", "fft")
     with pytest.raises(ConfigError):
         dump_embeddings(cfg, "tones", "nope")
+
+
+def test_reports_and_dump_quote_names_that_need_it(tmp_path):
+    # a name or series id with a comma, a quote or a newline is one CSV field
+    ds = generate(SynthSpec(kind="tones", classes=2, n_per_class=6, tau=16, seed=3))
+    for i, rec in enumerate(ds.series):
+        rec.series_id = rec.series_id.replace("-i", ",i") + ('"q' if i % 2 else "")
+    save_wide_csv(ds, tmp_path / "odd.csv")
+    obj = base_config(str(tmp_path / "odd.csv"), tmp_path / "out")
+    obj["datasets"][0]["name"] = "to,y"
+    obj["embeddings"] = [{"method": "fft", "name": 'f"t'}, {"method": "pca", "name": "p\nca",
+                                                          "params": {"d": 2}}]
+    obj["classifiers"] = [{"kind": "knn", "name": "k,nn"}, {"kind": "gnb", "name": "g\r\nb"}]
+    cfg = parse_config(obj)
+    paths = emit_reports(run_grid(cfg), cfg.output_dir)
+    paths.append(dump_embeddings(cfg, "to,y", 'f"t'))
+    rows = {}
+    for path in (p for p in paths if p.endswith(".csv")):
+        with open(path, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert all(len(row) == len(header) for row in body), path
+        rows[path.rsplit("/", 1)[1]] = body
+    assert [row[:3] for row in rows["cells.csv"]] == [
+        ["to,y", e, c] for e in ('f"t', "p\nca") for c in ("k,nn", "g\r\nb")]
+    assert [row[:2] for row in rows["summary.csv"]] == [["to,y", 'f"t'], ["to,y", "p\nca"]]
+    assert [row[0] for row in rows["ranks.csv"]] == ['f"t', "p\nca"]
+    assert [row[:3] for row in rows["timings.csv"]] == [row[:3] for row in rows["cells.csv"]]
+    dumped = rows['embeddings_f"t_to,y.csv']
+    assert sorted(row[0] for row in dumped) == sorted(f"{r.series_id}:0" for r in ds.series)
 
 
 def test_cell_result_defaults():

@@ -334,6 +334,28 @@ def test_logreg_divergence_is_an_error_cell(tmp_path, params, status):
     assert len(cells) == 2 and cells[1].endswith(f",{status}"), cells
 
 
+@pytest.mark.parametrize("var_floor,status", [(1e308, "error:NumericError"), (1e300, "ok")])
+def test_gnb_variance_overflow_is_an_error_cell(tmp_path, var_floor, status):
+    # 2*pi*1e308 overflows: the cell used to report ok after a RuntimeWarning
+    cfg_path = write_config(tmp_path, make_data(tmp_path))
+    obj = json.loads(cfg_path.read_text())
+    obj["embeddings"] = [{"method": "fft"}]
+    obj["classifiers"] = [{"kind": "gnb", "params": {"var_floor": var_floor}}]
+    cfg_path.write_text(json.dumps(obj))
+    result = invoke("run", "--config", str(cfg_path))
+    assert result.exit_code == 0, result.output
+    cells = (tmp_path / "out" / "cells.csv").read_text().splitlines()
+    assert len(cells) == 2 and cells[1].endswith(f",{status}"), cells
+
+
+def test_wide_csv_without_channel_comment_runs(tmp_path):
+    data_csv = make_data(tmp_path)
+    data_csv.write_text(data_csv.read_text().split("\n", 1)[1])
+    result = invoke("run", "--config", str(write_config(tmp_path, data_csv)))
+    assert result.exit_code == 0, result.output
+    assert "4/4 cells ok" in result.output
+
+
 def test_segmentation_error_names_the_dataset(tmp_path):
     cfg_path = write_config(tmp_path, make_data(tmp_path))
     obj = json.loads(cfg_path.read_text())
@@ -348,13 +370,13 @@ def test_segmentation_error_names_the_dataset(tmp_path):
 # ------------------------------------------------------------ config fuzz
 
 REPORTS = ("cells.csv", "summary.csv", "ranks.csv", "timings.csv", "manifest.json")
-# values for the keys that size the data (tau, omega, channels, seed, ratios)
+# values for the keys that size the data (tau, omega, seed, ratios)
 # and for tda's grid_size and wavelet's omega0, the embedding params with a
 # documented range
 SIZE_POOL = (0, -1, 1, 2, 2 ** 62, 1.5, True, "x", None, [])
 TDA_GRID_SIZE = ("embeddings", 5, "params", "grid_size")
 WAVELET_OMEGA0 = ("embeddings", 1, "params", "omega0")
-SIZED_PATHS = (("seed",),) + tuple(("datasets", 0, key) for key in ("tau", "omega", "channels")) \
+SIZED_PATHS = (("seed",),) + tuple(("datasets", 0, key) for key in ("tau", "omega")) \
     + tuple(("datasets", 0, "ratios", i) for i in range(3)) + (TDA_GRID_SIZE, WAVELET_OMEGA0)
 # one value of each JSON type; a retyped key takes one of another type
 RETYPES = ("x", None, [], {}, True, 1.5)
@@ -367,7 +389,7 @@ def fuzz_config():
     return {
         "seed": 5,
         "output_dir": "out",
-        "datasets": [{"name": "toy", "path": "toy.csv", "format": "wide_csv", "channels": 1,
+        "datasets": [{"name": "toy", "path": "toy.csv", "format": "wide_csv",
                       "tau": 8, "omega": 4, "normalization": "zscore",
                       "ratios": [0.5, 0.25, 0.25]}],
         "embeddings": [{"method": "fft"}, {"method": "wavelet", "params": {"scales": [2.0]}},
@@ -440,6 +462,7 @@ def toy_csv(tmp_path_factory):
 @example(cfg=with_value(fuzz_config(), WAVELET_OMEGA0, 1e308))
 @example(cfg=with_value(fuzz_config(), ("classifiers", 0, "grid", "k", 0), 0))
 @example(cfg=with_value(fuzz_config(), ("classifiers", 1, "params"), {"var_floor": 0}))
+@example(cfg=with_value(fuzz_config(), ("classifiers", 1, "params"), {"var_floor": 1e308}))
 @example(cfg=with_value(fuzz_config(), ("classifiers", 2, "params", "max_iter"), 0))
 @example(cfg=with_value(fuzz_config(), ("classifiers", 2, "params", "l2"), 1e200))
 @example(cfg=with_value(fuzz_config(), ("classifiers", 2, "params", "l2"), 1e308))

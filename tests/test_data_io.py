@@ -121,25 +121,26 @@ def test_wide_csv_loads(tmp_path):
     assert ds.label_alphabet == ["x", "y"]
 
 
-def test_wide_csv_channels_argument(tmp_path):
-    text = WIDE_TEXT.split("\n", 1)[1]  # drop the comment
-    ds = load_wide_csv(write(tmp_path / "w.csv", text), channels=2)
-    assert ds.n_channels == 2
-    with pytest.raises(ConfigError):
-        load_wide_csv(write(tmp_path / "w2.csv", text))
+def test_wide_csv_without_comment_loads(tmp_path):
+    # the header's names alone give two channels of length two
+    bare = outcome(load_wide_csv, write(tmp_path / "w.csv", WIDE_TEXT.split("\n", 1)[1]))
+    assert bare[0] == 2 and bare == outcome(load_wide_csv, write(tmp_path / "c.csv", WIDE_TEXT))
 
 
 def test_wide_csv_channel_conflict(tmp_path):
-    with pytest.raises(ConfigError):
-        load_wide_csv(write(tmp_path / "w.csv", WIDE_TEXT), channels=4)
+    for count in ("1", "4", "0", "-2"):
+        path = write(tmp_path / "w.csv", WIDE_TEXT.replace("channels=2", f"channels={count}"))
+        with pytest.raises(SchemaError, match=f"^{re.escape(path)}: line 1: channels={count} "
+                                              "disagrees with the 2 channel"):
+            load_dataset(path, "wide_csv")
 
 
 def test_wide_csv_bad_column_names(tmp_path):
-    text = ("# channels=1\n"
-            "series_id,group,label,v0,v1\n"
-            "a,g,x,1.0,2.0\n")
-    with pytest.raises(ParseError):
-        load_wide_csv(write(tmp_path / "w.csv", text))
+    for names in ("v0,v1", "", "c0_t1", "c0_t0,c0_t2", "c0_t0,c1_t0,c1_t1",
+                  "c0_t0,c0_t01", "c999999999_t9", "c0_t0,c999999999_t9"):
+        text = f"series_id,group,label,{names}".rstrip(",") + "\na,g,x,1.0,2.0\n"
+        with pytest.raises(ParseError, match="value column names do not match"):
+            load_wide_csv(write(tmp_path / "w.csv", text))
 
 
 def test_wide_round_trip_identical(tmp_path):
@@ -211,7 +212,7 @@ def test_quoted_fields_and_underscored_numbers_still_load(tmp_path):
     assert ds.series[0].series_id == "a" and ds.label_alphabet == ["x,y"]
     np.testing.assert_array_equal(ds.series[0].values, [[10.0]])
     wide_text = 'series_id,group,label,c0_t0\n"a",g,x,1_0\n'
-    ds = load_wide_csv(write(tmp_path / "w.csv", wide_text), channels=1)
+    ds = load_wide_csv(write(tmp_path / "w.csv", wide_text))
     assert ds.series[0].series_id == "a"
     np.testing.assert_array_equal(ds.series[0].values, [[10.0]])
 
@@ -237,7 +238,7 @@ def test_each_column_check_falls_back_to_the_row_loop(tmp_path, name):
     path = write(tmp_path / "f.csv", CHECKED_FILES[name])
     if name.startswith("wide"):
         assert _wide_columns(path, 1, 1, 1) is None
-        assert outcome(load_wide_csv, path, 1) == outcome(load_wide_csv_reference, path, 1)
+        assert outcome(load_wide_csv, path) == outcome(load_wide_csv_reference, path)
     else:
         assert _long_columns(path) is None
         assert outcome(load_long_csv, path) == outcome(load_long_csv_reference, path)
@@ -382,9 +383,11 @@ def wide_files(draw):
                       + [f"c{c}_t{t}" for c in range(C) for t in range(T)])
     rows = [[f"s{i}", draw(st.sampled_from(["g0", "g1"])), draw(st.sampled_from(["x", "y"]))]
             + [draw(VALUE_TEXTS) for _ in range(C * T)] for i in range(n_rows)]
-    comment = draw(st.booleans())
-    data, mutated = draw(mutated_csv(rows, ([f"# channels={C}"] if comment else []) + [header]))
-    return data, mutated, C, T, comment
+    # no comment, one that agrees with the header, or one that does not
+    comment = draw(st.sampled_from([None, C, C, C + 1, 0]))
+    lines = ([] if comment is None else [f"# channels={comment}"]) + [header]
+    data, mutated = draw(mutated_csv(rows, lines))
+    return data, mutated or comment not in (None, C), C, T, comment is not None
 
 
 @settings(max_examples=400, deadline=None)
@@ -393,8 +396,7 @@ def test_wide_csv_matches_row_loop(tmp_path_factory, case):
     data, mutated, C, T, comment = case
     path = tmp_path_factory.mktemp("wide") / "f.csv"
     path.write_bytes(data)
-    assert (outcome(load_wide_csv, str(path), C)
-            == outcome(load_wide_csv_reference, str(path), C))
+    assert outcome(load_wide_csv, str(path)) == outcome(load_wide_csv_reference, str(path))
     if not mutated:
         assert _wide_columns(str(path), 1 + comment, C, T) is not None
 

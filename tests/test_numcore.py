@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointsets import point_sets
+import solve_reference
 from solve_reference import linear_solve
 from tsembed import numcore
 from tsembed.embed_spectral import fft_embed
@@ -89,6 +90,28 @@ def test_eig_sign_convention():
     for j in range(7):
         v = res.eigenvectors[:, j]
         assert v[int(np.argmax(np.abs(v)))] > 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, 129])
+def test_eig_equals_column_loop(n):
+    rng = Xoshiro256StarStar(n)
+    M = random_matrix(rng, n)
+    A = (M + M.T) / 2
+    got, ref = symmetric_eig(A), solve_reference.symmetric_eig(A)
+    assert got.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert got.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+
+
+@pytest.mark.parametrize("A", [[[2.0, 1.0], [1.0, 2.0]], [[0.0, 1.0], [1.0, 0.0]],
+                               [[-2.0, -1.0], [-1.0, -2.0]], np.ones((3, 3))])
+def test_eig_sign_ties_go_to_the_first_index(A):
+    # each vector has entries of tied largest magnitude, one of them negative
+    # in some column; the first of them is the one made positive
+    got, ref = symmetric_eig(A), solve_reference.symmetric_eig(A)
+    assert got.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+    v = got.eigenvectors
+    tied = np.abs(np.abs(v) - np.abs(v).max(axis=0)) == 0
+    assert (v[tied.argmax(axis=0), np.arange(v.shape[1])] > 0).all()
 
 
 def test_eig_deterministic():

@@ -138,7 +138,7 @@ def test_bulk_draws_equal_scalar_calls(seed, cached, calls):
         assert bulk._gauss_cache == scalar._gauss_cache
 
 
-@pytest.mark.parametrize("n", [BULK_MIN_DRAWS, 2 * BULK_MIN_DRAWS + 1])
+@pytest.mark.parametrize("n", [5, BULK_MIN_DRAWS, 2 * BULK_MIN_DRAWS + 1])
 def test_gauss_vector_takes_the_scalar_loop_on_a_zero_uniform(monkeypatch, n):
     # the 2^-53 event: gauss() redraws a first uniform of 0, which shifts the
     # pairs, so the bulk path must restore the state and run the scalar loop
