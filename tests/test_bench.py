@@ -295,12 +295,18 @@ def test_parse_config_rejects_unknown_embedding_params(tones_csv, tmp_path):
     ("dataset", "omega", True),
     ("dataset", "omega", "0"),
     ("dataset", "omega", 1.0),
+    ("dataset", "channels", "x"),
+    ("dataset", "channels", 2.0),
+    ("dataset", "channels", True),
 ])
 def test_parse_config_rejects_non_integer_dataset_fields(tones_csv, tmp_path,
                                                          where, key, value):
     obj = base_config(tones_csv, tmp_path / "out")
     (obj if where == "config" else obj["datasets"][0])[key] = value
-    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+    # channels is no longer a field (the header gives the count), so any
+    # value for it is refused as an unknown key before its type is looked at
+    expected = "unknown key" if key == "channels" else f"{key} must be an integer"
+    with pytest.raises(ConfigError, match=expected):
         parse_config(obj)
     assert not (tmp_path / "out").exists()
 
