@@ -6,8 +6,8 @@ import sys
 
 import click
 
-from .bench import (average_rank, dump_embeddings, emit_reports, fmt, load_config,
-                    make_output_dir, read_accuracy_csv, run_grid)
+from .bench import (_csv_fields, average_rank, dump_embeddings, emit_reports, fmt,
+                    load_config, make_output_dir, read_accuracy_csv, run_grid)
 from .data_io import save_wide_csv
 from .errors import TsembedError
 from .synthgen import SYNTH_KINDS, SynthSpec, generate
@@ -73,7 +73,7 @@ def rank(acc_path: str, ties: str) -> None:
         raise click.ClickException(str(e)) from None
     click.echo("method,avg_rank")
     for name, value in zip(methods, ranks):
-        click.echo(f"{name},{fmt(value)}")
+        click.echo(f"{_csv_fields(name)},{fmt(value)}")
 
 
 @main.command()

@@ -14,6 +14,11 @@ the loop: one BLAS matmul per block of queries estimates all squared
 distances, a rigorous floating-point error margin around the k-th smallest
 estimate selects candidate rows, and only the candidates get the loop's exact
 norm and a stable sort. The result is the loop's, bit for bit, ties included.
+
+next_greater gives, for every sample of every row of a 2-D array, the first
+later sample of its row that is >= it and the first that is > it: the
+pointers from which embed_graph builds visibility graphs. Its stack-loop
+form is the oracle in tests/test_numcore.py.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ _CONDITION_LIMIT = 1e12
 _BLOCK_ELEMENTS = 1 << 20
 # Above this |q|^2 + max |t|^2 the distance estimates could overflow.
 _SCALE_LIMIT = 2.0 ** 1000
+# Pointer-jumping rounds of next_greater before binary lifting takes over.
+_JUMP_ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -204,3 +211,76 @@ def nearest_neighbors(queries: np.ndarray, train: np.ndarray,
         dist[lo:lo + step] = exact[pick]
     return index, dist
 
+
+def next_greater(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each sample x[r, i] of a 2-D array of n columns, the index of the
+    first later sample of row r that is >= it, and of the first that is > it
+    (n when there is none), as two (R, n) int64 arrays. Values must not be
+    NaN.
+
+    Pointer jumping finds the >= pointers: every row gets a +inf sentinel
+    column, and each sample points at a later one with everything strictly
+    between them below it. While the sample pointed at is below x[r, i], the
+    pointer moves to that sample's own pointer, which keeps the property.
+    Each round gathers only the unresolved samples. A falling run resolves
+    in O(log n) rounds, but a sample whose answer lies beyond a long rising
+    run moves one sample of it per round, so after _JUMP_ROUNDS rounds the
+    samples left search on from their pointers by binary lifting over
+    range-maximum tables of their rows: bit_length(n) tables of (rows left)
+    x (n + 1) values.
+
+    A sample whose next >= sample is above it has that as its next > sample
+    too; one whose next >= sample ties with it has that sample's next >
+    sample, found by pointer doubling along runs of ties.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError(f"expected a 2-D array of rows, got shape {x.shape}")
+    if np.isnan(x).any():
+        raise ContractError("next_greater needs values without NaN")
+    R, n = x.shape
+    m = n + 1
+    values = np.full((R, m), np.inf)
+    values[:, :n] = x
+    values = values.ravel()
+    ptr = np.arange(1, R * m + 1)
+    ptr[n::m] -= 1  # a sentinel points at itself and is above every sample
+    samples = np.arange(R * m).reshape(R, m)[:, :n].ravel()
+    active = samples
+    level = values[active]
+    for _ in range(_JUMP_ROUNDS):
+        if not active.shape[0]:
+            break
+        p = ptr[active]
+        below = values[p] < level
+        active = active[below]
+        level = level[below]
+        ptr[active] = ptr[p[below]]
+    if active.shape[0]:
+        row, col = np.divmod(ptr[active], m)
+        rows, row = np.unique(row, return_inverse=True)
+        # tables[t][k, c] = max of row rows[k] over columns c .. c + 2**t - 1,
+        # clipped at the sentinel
+        tables = [values.reshape(R, m)[rows]]
+        while 1 << len(tables) < m:
+            h = 1 << (len(tables) - 1)
+            wider = tables[-1].copy()
+            np.maximum(wider[:, :-h], tables[-1][:, h:], out=wider[:, :-h])
+            tables.append(wider)
+        for t in range(len(tables) - 1, -1, -1):
+            # a window all below the level holds neither the answer nor the
+            # sentinel, so the skip stays inside the row
+            col += (tables[t][row, col] < level).astype(np.int64) << t
+        ptr[active] = active - active % m + col
+    # hop[i]: the last of the samples i, ge_i, ge_(ge_i), ... that tie with
+    # x_i, whose >= pointer is then i's > pointer
+    hop = np.arange(R * m)
+    tied = samples[values[ptr[samples]] == values[samples]]
+    hop[tied] = ptr[tied]
+    while True:
+        further = hop[hop]
+        if np.array_equal(further, hop):
+            break
+        hop = further
+    origin = np.arange(0, R * m, m)[:, None]
+    return ptr.reshape(R, m)[:, :n] - origin, ptr[hop].reshape(R, m)[:, :n] - origin

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -195,6 +197,15 @@ def test_rank_averages_rows(tmp_path):
     lines = result.output.strip().split("\n")
     assert lines[1] == "a," + "%.6g" % (4 / 3)
     assert lines[2] == "b," + "%.6g" % (5 / 3)
+
+
+def test_rank_quotes_method_names(tmp_path):
+    acc = tmp_path / "acc.csv"
+    acc.write_text('dataset,"a,b",c\nd1,0.9,0.5\n')
+    result = invoke("rank", "--accuracies", str(acc))
+    assert result.exit_code == 0
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert rows == [["method", "avg_rank"], ["a,b", "1"], ["c", "2"]]
 
 
 def test_rank_rejects_malformed_table(tmp_path):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_reference
 from tsembed import embed_graph
 from tsembed.embed_graph import (VisibilityGraph, graph_embed, graph_features,
-                                 hvg_build, nvg_build)
+                                 graph_features_rows, hvg_build, nvg_build)
 from tsembed.errors import DataError, ShapeError
 from tsembed.rng import Xoshiro256StarStar
 
@@ -248,8 +249,8 @@ def test_build_rejects_too_short():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_build_rejects_non_finite(bad):
-    # visibility is undefined there, and the stack HVG would not match the
-    # loop version on a NaN
+    # visibility is undefined there, and a NaN has no place in the order
+    # the pointers are built on
     x = np.array([1.0, bad, 2.0, 0.5, 3.0])
     for build in (nvg_build, hvg_build):
         with pytest.raises(DataError, match="finite"):
@@ -258,7 +259,7 @@ def test_build_rejects_non_finite(bad):
 
 # ------------------------------------------------------------ array code against the loops
 
-SIGNAL_STYLES = ("gauss", "rounded", "integer", "constant", "increasing",
+SIGNAL_STYLES = ("gauss", "rounded", "integer", "plateau", "constant", "increasing",
                  "decreasing", "concave", "convex", "sine")
 
 
@@ -271,6 +272,8 @@ def styled_signal(style, n, seed):
         return np.round(rng.normal(size=n), 1)
     if style == "integer":
         return rng.integers(0, 4, size=n).astype(float)
+    if style == "plateau":
+        return np.repeat(rng.normal(size=n // 5 + 1), 5)[:n]
     if style == "constant":
         return np.full(n, 1.5)
     if style == "increasing":
@@ -294,13 +297,18 @@ def signals(draw, max_n=1024):
 
 
 @contextmanager
-def block_elements(value):
-    saved = embed_graph._BLOCK_ELEMENTS
-    embed_graph._BLOCK_ELEMENTS = value
+def patched(**values):
+    """Module constants of embed_graph set for the duration, e.g. a small
+    _BLOCK_ELEMENTS that spreads rows, runs and triad counts over many
+    blocks."""
+    saved = {name: getattr(embed_graph, name) for name in values}
+    for name, value in values.items():
+        setattr(embed_graph, name, value)
     try:
         yield
     finally:
-        embed_graph._BLOCK_ELEMENTS = saved
+        for name, value in saved.items():
+            setattr(embed_graph, name, value)
 
 
 def assert_same_as_reference(build, reference, x):
@@ -329,7 +337,7 @@ def test_hvg_equals_reference(x):
 @given(signals(max_n=200), st.integers(1, 300))
 def test_builders_equal_reference_across_blocks(x, cap):
     # a small cap spreads the NVG rows and the triad counts over many blocks
-    with block_elements(cap):
+    with patched(_BLOCK_ELEMENTS=cap):
         assert_same_as_reference(nvg_build, nvg_build_reference, x)
         assert_same_as_reference(hvg_build, hvg_build_reference, x)
 
@@ -342,6 +350,111 @@ def test_builders_equal_reference_at_window_lengths(style, n):
     x = styled_signal(style, n, seed=n)
     assert_same_as_reference(nvg_build, nvg_build_reference, x)
     assert_same_as_reference(hvg_build, hvg_build_reference, x)
+
+
+def assert_same_graph(got, ref):
+    assert got.n_nodes == ref.n_nodes
+    for name in ("i", "j", "w"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+# styles without three (nearly) collinear samples, where the chord test of
+# brute_nvg_edges cannot round differently from the slope test
+NO_COLLINEAR_STYLES = ("gauss", "sine", "concave", "convex")
+
+
+def assert_block_equals_references(x, styles=()):
+    """Each graph of a block equals the per-row loop, the replaced per-signal
+    builder and, on short rows, the brute-force edge set; a 1-D call equals
+    its row of the block."""
+    nvgs, hvgs = nvg_build(x), hvg_build(x)
+    assert len(nvgs) == len(hvgs) == x.shape[0]
+    for k, (row, nvg, hvg) in enumerate(zip(x, nvgs, hvgs)):
+        assert_same_graph(nvg, nvg_build_reference(row))
+        assert_same_graph(nvg, graph_reference.nvg_build_blocked(row))
+        assert_same_graph(hvg, hvg_build_reference(row))
+        assert_same_graph(hvg, graph_reference.hvg_build_stack(row))
+        if row.shape[0] <= 24:
+            assert edge_set(hvg) == brute_hvg_edges(row.tolist())
+            if k < len(styles) and styles[k] in NO_COLLINEAR_STYLES:
+                assert edge_set(nvg) == brute_nvg_edges(row.tolist())
+        for g in (nvg, hvg):
+            assert embed_graph._closed_triads(g) == graph_reference.closed_triads_boolean(g)
+    assert_same_graph(nvg_build(x[0]), nvgs[0])
+    assert_same_graph(hvg_build(x[0]), hvgs[0])
+
+
+@st.composite
+def blocks(draw, max_n=200):
+    """Rows of one length in mixed styles, convex ramps included."""
+    n = draw(st.one_of(st.integers(2, 24), st.integers(2, max_n)))
+    styles = draw(st.lists(st.sampled_from(SIGNAL_STYLES), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.array([styled_signal(style, n, seed + k) for k, style in enumerate(styles)])
+    return x, styles
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks())
+def test_block_builders_equal_references(block):
+    assert_block_equals_references(*block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks(), st.integers(1, 300), st.integers(0, 3), st.sampled_from([-1.0, 0.2, 1.0]))
+def test_block_builders_equal_references_under_small_bounds(block, cap, steps, share):
+    # few chain steps send chains (and convex ramps, with no row built from
+    # all slopes at share 1) to the dense finish; share -1 builds every NVG
+    # row from all slopes; a small cap spreads rows, runs and triads over
+    # many blocks
+    with patched(_BLOCK_ELEMENTS=cap, _CHAIN_STEPS=steps, _WHOLE_SHARE=share,
+                 _COLUMN_LOOP_WIDTH=steps, _DENSE_ELEMENTS=cap):
+        assert_block_equals_references(*block)
+
+
+def test_convex_ramp_longer_than_chain_cap_takes_every_path():
+    x = np.array([styled_signal("convex", 300, 0), styled_signal("gauss", 300, 1)])
+    for share in (-1.0, 1.0, embed_graph._WHOLE_SHARE):
+        with patched(_WHOLE_SHARE=share):
+            assert_block_equals_references(x, ("convex", "gauss"))
+    assert len(edges(nvg_build(x[0]))) == 300 * 299 // 2
+
+
+def test_block_builders_take_empty_blocks_and_reject_bad_ones():
+    assert nvg_build(np.zeros((0, 5))) == [] and hvg_build(np.zeros((0, 5))) == []
+    for build in (nvg_build, hvg_build):
+        with pytest.raises(ShapeError):
+            build(np.zeros((3, 1)))
+        with pytest.raises(ShapeError):
+            build(np.zeros((2, 3, 4)))
+        with pytest.raises(DataError, match="finite"):
+            build(np.array([[1.0, 2.0], [np.nan, 0.0]]))
+
+
+def test_block_graphs_are_views_of_one_edge_batch():
+    x = np.random.default_rng(3).normal(size=(4, 30))
+    for build in (nvg_build, hvg_build):
+        graphs = build(x)
+        base = graphs[0].i.base
+        assert base is not None
+        assert all(g.i.base is base for g in graphs)
+
+
+def test_graph_features_rows_hands_over_row_blocks():
+    x = np.random.default_rng(4).normal(size=(7, 40))
+    seen = []
+
+    def build(rows):
+        seen.append(rows.shape)
+        return nvg_build(rows)
+
+    with patched(_BLOCK_ELEMENTS=100):
+        got = graph_features_rows(x, build)
+    assert seen == [(2, 40)] * 3 + [(1, 40)]
+    for row, features in zip(x, got):
+        assert features.tobytes() == graph_features(nvg_build(row)).tobytes()
 
 
 def test_edges_view_is_tuples_in_array_order():

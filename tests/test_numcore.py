@@ -11,7 +11,8 @@ from solve_reference import linear_solve
 from tsembed import numcore
 from tsembed.embed_spectral import fft_embed
 from tsembed.errors import ContractError, NumericError, ShapeError
-from tsembed.numcore import linear_solve_batched, nearest_neighbors, symmetric_eig
+from tsembed.numcore import (linear_solve_batched, nearest_neighbors, next_greater,
+                             symmetric_eig)
 from tsembed.rng import Xoshiro256StarStar
 
 
@@ -319,6 +320,84 @@ def test_nearest_neighbors_ties_go_to_lower_index():
 
 
 # ------------------------------------------------------------ dft
+
+# ------------------------------------------------------------ next_greater
+
+def next_greater_reference(row, strict):
+    """One stack pass: the stack holds the samples still waiting for their
+    answer; a sample pops every top it is >= (>, when strict)."""
+    values = list(row)
+    out = [len(values)] * len(values)
+    stack = []
+    for j, v in enumerate(values):
+        while stack and (values[stack[-1]] < v if strict else values[stack[-1]] <= v):
+            out[stack.pop()] = j
+        stack.append(j)
+    return out
+
+
+@contextmanager
+def jump_rounds(value):
+    saved = numcore._JUMP_ROUNDS
+    numcore._JUMP_ROUNDS = value
+    try:
+        yield
+    finally:
+        numcore._JUMP_ROUNDS = saved
+
+
+def pointer_rows(rng, style, rows, n):
+    t = np.arange(n, dtype=float)
+    if style == "ties":
+        return rng.integers(0, 3, size=(rows, n)).astype(float)
+    if style == "plateaus":
+        return np.repeat(rng.integers(0, 4, size=(rows, n // 4 + 1)), 4, axis=1)[:, :n] * 1.0
+    if style == "convex":
+        return np.tile((t - n / 3.0) ** 2, (rows, 1))
+    if style == "falling":
+        return np.tile(-t, (rows, 1))
+    if style == "peak then ramp":
+        return np.tile(np.where(t == 0, 2.0 * n, t), (rows, 1))
+    return rng.normal(size=(rows, n))
+
+
+POINTER_STYLES = ("normal", "ties", "plateaus", "convex", "falling", "peak then ramp")
+
+
+def assert_pointers_equal_reference(x):
+    ge, gt = next_greater(x)
+    assert ge.dtype == gt.dtype == np.int64
+    assert ge.shape == gt.shape == x.shape
+    for row, a, b in zip(x.tolist(), ge.tolist(), gt.tolist()):
+        assert a == next_greater_reference(row, strict=False)
+        assert b == next_greater_reference(row, strict=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(POINTER_STYLES), st.integers(0, 5), st.integers(1, 300),
+       st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 3, None]))
+def test_next_greater_equals_stack_loop(style, rows, n, seed, rounds):
+    # few jump rounds hand most samples to the range-maximum lifting
+    x = pointer_rows(np.random.default_rng(seed), style, rows, n)
+    if rounds is None:
+        assert_pointers_equal_reference(x)
+    else:
+        with jump_rounds(rounds):
+            assert_pointers_equal_reference(x)
+
+
+def test_next_greater_mixed_block_at_window_length():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([pointer_rows(rng, style, 2, 1024) for style in POINTER_STYLES])
+    assert_pointers_equal_reference(x)
+
+
+def test_next_greater_rejects_bad_input():
+    with pytest.raises(ShapeError):
+        next_greater(np.zeros(4))
+    with pytest.raises(ContractError):
+        next_greater(np.array([[1.0, np.nan, 2.0]]))
+
 
 def test_dft_matches_naive_all_sizes():
     rng = Xoshiro256StarStar(31)
