@@ -592,7 +592,7 @@ def make_output_dir(path: str) -> None:
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-def _csv_fields(*texts: str) -> str:
+def csv_fields(*texts: str) -> str:
     """texts as CSV fields, as csv.writer writes them: one that holds a comma,
     a quote, CR or LF goes in quotes with its own quotes doubled."""
     return ",".join('"' + t.replace('"', '""') + '"' if _CSV_SPECIAL.search(t) else t
@@ -617,23 +617,23 @@ def emit_reports(report: EvaluationReport, output_dir: str) -> list[str]:
     lines = ["dataset,embedding,classifier,accuracy,status"]
     for c in report.cells:
         acc = fmt(c.accuracy) if c.accuracy is not None else ""
-        lines.append(f"{_csv_fields(c.dataset, c.embedding, c.classifier)},{acc},{c.status}")
+        lines.append(f"{csv_fields(c.dataset, c.embedding, c.classifier)},{acc},{c.status}")
     paths.append(_write_lines(output_dir, "cells.csv", lines))
 
     lines = ["dataset,embedding,mean_accuracy,std_accuracy"]
     for ds_name, emb_name, mean, std in report.summary:
-        lines.append(f"{_csv_fields(ds_name, emb_name)},{fmt(mean)},{fmt(std)}")
+        lines.append(f"{csv_fields(ds_name, emb_name)},{fmt(mean)},{fmt(std)}")
     paths.append(_write_lines(output_dir, "summary.csv", lines))
 
     lines = ["embedding,avg_rank"]
     for name, rank in report.avg_ranks:
-        lines.append(f"{_csv_fields(name)},{fmt(rank)}")
+        lines.append(f"{csv_fields(name)},{fmt(rank)}")
     paths.append(_write_lines(output_dir, "ranks.csv", lines))
 
     lines = ["dataset,embedding,classifier,classifier_fit_seconds,"
              "embed_train_seconds,embed_infer_seconds"]
     for ds_name, emb_name, clf_name, clf_s, train_s, infer_s in report.timings:
-        lines.append(f"{_csv_fields(ds_name, emb_name, clf_name)},{fmt(clf_s)},"
+        lines.append(f"{csv_fields(ds_name, emb_name, clf_name)},{fmt(clf_s)},"
                      f"{fmt(train_s)},{fmt(infer_s)}")
     paths.append(_write_lines(output_dir, "timings.csv", lines))
 
@@ -674,7 +674,7 @@ def dump_embeddings(cfg: BenchConfig, dataset_name: str, embedding_name: str,
 
     lines = [",".join(["id", "label"] + [f"v{i}" for i in range(X.shape[1])])]
     row_fmt = ",".join(["%.6g"] * X.shape[1])  # fmt() on each value, one % per row
-    lines += [f"{_csv_fields(f'{source_id}:{start}')},{label}," + row_fmt % tuple(row)
+    lines += [f"{csv_fields(f'{source_id}:{start}')},{label}," + row_fmt % tuple(row)
               for source_id, start, label, row in zip(
                   windows.source_ids, windows.starts.tolist(), windows.labels.tolist(),
                   X.tolist())]

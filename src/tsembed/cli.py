@@ -6,7 +6,7 @@ import sys
 
 import click
 
-from .bench import (_csv_fields, average_rank, dump_embeddings, emit_reports, fmt,
+from .bench import (average_rank, csv_fields, dump_embeddings, emit_reports, fmt,
                     load_config, make_output_dir, read_accuracy_csv, run_grid)
 from .data_io import save_wide_csv
 from .errors import TsembedError
@@ -73,7 +73,7 @@ def rank(acc_path: str, ties: str) -> None:
         raise click.ClickException(str(e)) from None
     click.echo("method,avg_rank")
     for name, value in zip(methods, ranks):
-        click.echo(f"{_csv_fields(name)},{fmt(value)}")
+        click.echo(f"{csv_fields(name)},{fmt(value)}")
 
 
 @main.command()

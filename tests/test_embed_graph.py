@@ -336,7 +336,7 @@ def test_hvg_equals_reference(x):
 @settings(max_examples=150, deadline=None)
 @given(signals(max_n=200), st.integers(1, 300))
 def test_builders_equal_reference_across_blocks(x, cap):
-    # a small cap spreads the NVG rows and the triad counts over many blocks
+    # a small cap spreads dense slopes and triad counts over many chunks
     with patched(_BLOCK_ELEMENTS=cap):
         assert_same_as_reference(nvg_build, nvg_build_reference, x)
         assert_same_as_reference(hvg_build, hvg_build_reference, x)
@@ -407,17 +407,19 @@ def test_block_builders_equal_references(block):
 def test_block_builders_equal_references_under_small_bounds(block, cap, steps, share):
     # few chain steps send chains (and convex ramps, with no row built from
     # all slopes at share 1) to the dense finish; share -1 builds every NVG
-    # row from all slopes; a small cap spreads rows, runs and triads over
-    # many blocks
-    with patched(_BLOCK_ELEMENTS=cap, _CHAIN_STEPS=steps, _WHOLE_SHARE=share,
-                 _COLUMN_LOOP_WIDTH=steps, _DENSE_ELEMENTS=cap):
+    # row from all slopes; a small cap spreads runs, slopes and triads over
+    # many chunks
+    with patched(_BLOCK_ELEMENTS=cap, _CHAIN_STEPS=steps, _WHOLE_SHARE=share):
         assert_block_equals_references(*block)
 
 
 def test_convex_ramp_longer_than_chain_cap_takes_every_path():
+    # all slopes; no chain step, the default cap (chains end in the dense
+    # finish) and a cap beyond the ramp; and the default choice
     x = np.array([styled_signal("convex", 300, 0), styled_signal("gauss", 300, 1)])
-    for share in (-1.0, 1.0, embed_graph._WHOLE_SHARE):
-        with patched(_WHOLE_SHARE=share):
+    default = embed_graph._CHAIN_STEPS, embed_graph._WHOLE_SHARE
+    for steps, share in [(default[0], -1.0), (0, 1.0), (default[0], 1.0), (300, 1.0), default]:
+        with patched(_CHAIN_STEPS=steps, _WHOLE_SHARE=share):
             assert_block_equals_references(x, ("convex", "gauss"))
     assert len(edges(nvg_build(x[0]))) == 300 * 299 // 2
 
