@@ -1,10 +1,20 @@
 """Linear and locally linear subspace embeddings over flattened windows.
 
 Fits and transforms take 2-D stacks of flattened windows, one per row.
-PCA centers the training matrix, eigendecomposes the sample covariance
-(divisor n_s - 1), and projects onto the top-d eigenvectors. The component
-sign convention comes from the shared eigensolver, so repeated fits are
-bit-identical.
+PCA centers the (n_s, n_f) training matrix and projects onto the top-d
+principal axes, with variances on the divisor n_s - 1. How it finds them
+depends on the shape alone. With at least as many rows as columns it
+eigendecomposes the n_f x n_f sample covariance: O(n_f^2) memory and
+O(n_s n_f^2 + n_f^3) time. A wide matrix (n_s < n_f, long windows with few
+training windows) has a covariance of rank at most n_s - 1, so PCA takes a
+thin SVD of the centred data instead: the components are the first d right
+singular vectors and the variances s^2 / (n_s - 1), in O(n_s n_f) memory and
+O(n_s^2 n_f) time. Both routes orient each component so that its
+largest-magnitude entry (first such index on ties) is positive
+(numcore.orient_columns), so repeated fits are bit-identical. The two routes
+agree to rounding (about 1e-13 relative), not bit for bit. NaN or Inf input
+raises DataError; a centred matrix, covariance or variance that overflows
+raises NumericError.
 
 LLE follows the classic three steps: K nearest neighbors per point (self
 excluded, distance ties to the lower index), reconstruction weights from the
@@ -31,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .numcore import linear_solve_batched, nearest_neighbors, symmetric_eig
+from .errors import ConfigError, DataError, NumericError, ShapeError
+from .numcore import (linear_solve_batched, nearest_neighbors, orient_columns,
+                      symmetric_eig)
 
 # Cap on neighbour-difference entries (points x K x features) per weight block.
 _BLOCK_ELEMENTS = 1 << 20
@@ -46,6 +57,13 @@ class PcaModel:
 
 
 def pca_fit(X: np.ndarray, d: int) -> PcaModel:
+    """Fit d principal components to a (n_s, n_f) stack of rows.
+
+    n_s >= n_f: full eigendecomposition of the covariance. n_s < n_f: thin
+    SVD of the centred data, whose memory stays O(n_s n_f); each row of the
+    SVD's vt is turned so its largest-magnitude entry (first index on ties)
+    is positive, the eigensolver's sign rule.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {X.shape}")
@@ -56,13 +74,34 @@ def pca_fit(X: np.ndarray, d: int) -> PcaModel:
         raise ConfigError(
             f"PCA dimension must satisfy 1 <= d <= min(n_samples-1, n_features) "
             f"= {min(n_s - 1, n_f)}, got {d}")
-    mean = X.mean(axis=0)
-    Xc = X - mean
-    cov = (Xc.T @ Xc) / (n_s - 1)
-    eig = symmetric_eig(cov)
-    components = eig.eigenvectors[:, :d].T
-    variances = np.maximum(eig.eigenvalues[:d], 0.0)
+    # overflow shows up as non-finite values, checked below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        # a finite mean rules out NaN and Inf in X, so X is scanned only then
+        if not np.isfinite(mean).all() and not np.isfinite(X).all():
+            raise DataError("PCA input holds NaN or Inf values")
+        Xc = X - mean
+        if n_s < n_f:
+            _finite(Xc, "centred data")
+            try:
+                _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"PCA: {exc}") from exc
+            components = orient_columns(vt[:d].T).T.copy()
+            variances = s[:d] ** 2 / (n_s - 1)
+        else:
+            cov = (Xc.T @ Xc) / (n_s - 1)
+            eig = symmetric_eig(_finite(cov, "covariance"))
+            components = eig.eigenvectors[:, :d].T
+            variances = eig.eigenvalues[:d]
+    variances = np.maximum(_finite(variances, "variance"), 0.0)
     return PcaModel(mean, components, variances)
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise NumericError(f"PCA: {what} overflow")
+    return a
 
 
 def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:

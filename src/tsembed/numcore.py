@@ -1,11 +1,12 @@
 """Shared numerical kernels: eigendecomposition, linear solves, neighbours.
 
 The eigendecomposition delegates to numpy's LAPACK binding and adds the
-contractual ordering and sign conventions on top. linear_solve_batched solves
-a stack of systems by plain LU factorization with partial pivoting, so a
-failure can report the exact pivot that collapsed, which library solvers do
-not surface; the one-system loop it replaced is the oracle in
-tests/solve_reference.py.
+contractual ordering and sign conventions on top; orient_columns is that
+sign rule alone, which PCA also applies to the rows of a thin SVD.
+linear_solve_batched solves a stack of systems by plain LU factorization
+with partial pivoting, so a failure can report the exact pivot that
+collapsed, which library solvers do not surface; the one-system loop it
+replaced is the oracle in tests/solve_reference.py.
 
 nearest_neighbors is the exact k-nearest-neighbour search behind kNN and LLE.
 Its contract is a per-query loop: sort np.linalg.norm(train - q, axis=1)
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, DataError, NumericError, ShapeError
 
 # Entrywise symmetry slack for accepting a matrix as symmetric.
 _SYMMETRY_TOL = 1e-10
@@ -54,22 +55,32 @@ def symmetric_eig(A: np.ndarray) -> EigenResult:
 
     Output order is deterministic: eigenvalues descending, and each vector is
     oriented so its largest-magnitude entry (first such index on ties) is
-    positive.
+    positive. A matrix holding NaN or Inf raises DataError.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {A.shape}")
-    if A.size and np.max(np.abs(A - A.T)) > _SYMMETRY_TOL:
-        raise ContractError("matrix is not symmetric within 1e-10")
+    if A.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            asymmetry = np.max(np.abs(A - A.T))
+        # NaN or Inf anywhere in A fails this test too, so A is scanned only then
+        if not asymmetry <= _SYMMETRY_TOL:
+            if not np.isfinite(A).all():
+                raise DataError("matrix holds NaN or Inf values")
+            raise ContractError("matrix is not symmetric within 1e-10")
     sym = (A + A.T) / 2.0
     values, vectors = np.linalg.eigh(sym)
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
+    return EigenResult(values[order], orient_columns(vectors[:, order]))
+
+
+def orient_columns(vectors: np.ndarray) -> np.ndarray:
+    """Turn each column of a 2-D array, in place, so that its largest-magnitude
+    entry (first such index on ties) is positive; returns the array."""
     if vectors.size:
-        k = np.argmax(np.abs(vectors), axis=0)  # first index on ties
+        k = np.argmax(np.abs(vectors), axis=0)
         vectors *= np.where(vectors[k, np.arange(k.shape[0])] < 0, -1.0, 1.0)
-    return EigenResult(values, vectors)
+    return vectors
 
 
 def linear_solve_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -401,11 +401,17 @@ def test_make_embedder_fit_returns_effective_params(method, params, effective):
 
 
 def test_import_bench_leaves_matcher_unloaded():
+    # neither the import nor a wide or tall PCA fit or an LLE fit loads
+    # scipy's matcher or its linear algebra (about 27 MB of resident memory)
     src = str(Path(tsembed.__file__).resolve().parents[1])
-    code = "import sys, tsembed.bench; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, numpy as np, tsembed.bench\n"
+            "from tsembed.embed_subspace import lle_fit, pca_fit\n"
+            "X = np.random.default_rng(0).normal(size=(30, 40))\n"
+            "pca_fit(X, 3); pca_fit(X[:, :10], 3); lle_fit(X, 5, 2)\n"
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ grid mechanics

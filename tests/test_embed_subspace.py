@@ -1,4 +1,6 @@
+import tracemalloc
 from contextlib import contextmanager
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from pointsets import point_sets
+from pointsets import STYLES, point_sets, styled_rows
 from solve_reference import linear_solve
 from tsembed import embed_subspace, numcore
-from tsembed.embed_subspace import (LleModel, lle_fit, lle_transform, pca_fit,
-                                    pca_transform)
-from tsembed.errors import ConfigError, NumericError, ShapeError
+from tsembed.embed_subspace import (LleModel, PcaModel, lle_fit, lle_transform,
+                                    pca_fit, pca_transform)
+from tsembed.errors import ConfigError, DataError, NumericError, ShapeError
 from tsembed.numcore import symmetric_eig
 from tsembed.rng import Xoshiro256StarStar
 
@@ -111,6 +113,112 @@ def test_pca_transform_shape_mismatch():
         pca_transform(model, np.ones((1, 5)))
     with pytest.raises(ShapeError):
         pca_transform(model, np.ones(4))   # one vector, not a stack of rows
+
+
+def covariance_eig(X):
+    """The covariance route: mean and full eigendecomposition of the n_f x n_f
+    sample covariance, which pca_fit takes only for n_s >= n_f."""
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    return mean, symmetric_eig((Xc.T @ Xc) / (X.shape[0] - 1))
+
+
+@st.composite
+def pca_inputs(draw):
+    """(X, d): styled rows, wide (n_s < n_f) or tall (n_s >= n_f)."""
+    if draw(st.booleans()):
+        n_s = draw(st.integers(2, 40))
+        n_f = draw(st.integers(n_s + 1, 130))
+    else:
+        n_f = draw(st.integers(1, 20))
+        n_s = draw(st.integers(max(2, n_f), 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = styled_rows(draw(st.sampled_from(STYLES)), n_s, n_f, rng)
+    return X, draw(st.integers(1, min(n_s - 1, n_f)))
+
+
+# eigen-gap, relative to the top variance, past which a component is pinned
+_CLEAR_GAP = 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(pca_inputs())
+def test_pca_matches_covariance_reference(case):
+    X, d = case
+    model = pca_fit(X, d)
+    n_s, n_f = X.shape
+    mean, eig = covariance_eig(X)
+    values, vectors = eig.eigenvalues, eig.eigenvectors
+    if n_s >= n_f:
+        ref = PcaModel(mean, vectors[:, :d].T, np.maximum(values[:d], 0.0))
+        assert [a.tobytes() for a in astuple(model)] == [a.tobytes() for a in astuple(ref)]
+        return
+    top = max(values[0], 0.0)
+    assert model.mean.tobytes() == mean.tobytes()
+    np.testing.assert_allclose(model.explained_variances, np.maximum(values[:d], 0.0),
+                               rtol=0, atol=1e-10 * top)
+    C = model.components
+    assert C.shape == (d, n_f)
+    np.testing.assert_allclose(C @ C.T, np.eye(d), rtol=0, atol=1e-12)
+    pivots = np.argmax(np.abs(C), axis=1)  # first index on ties
+    assert np.all(C[np.arange(d), pivots] > 0)
+    # each component lies in the span of the reference eigenvectors whose
+    # eigenvalues are not clearly apart from its own
+    coeffs = vectors.T @ C.T
+    for j in range(d):
+        apart = np.abs(values - values[j]) > _CLEAR_GAP * top
+        assert np.all(np.abs(coeffs[apart, j]) <= 1e-8), j
+        if apart.sum() == n_f - 1:
+            # isolated eigenvalue: the same vector, entry for entry, unless
+            # the sign rule's pivot is a near tie that rounding may flip
+            ref = vectors[:, j]
+            err = np.abs(C[j] - ref).max()
+            mags = np.sort(np.abs(ref))
+            if mags[-1] - mags[-2] <= 1e-8:
+                err = min(err, np.abs(C[j] + ref).max())
+            assert err <= 1e-8, (j, err)
+
+
+def test_pca_wide_fit_memory_stays_linear():
+    # 72 windows of 1024 steps, the long_windows shape: the covariance route
+    # would hold a 1024 x 1024 matrix (8 MB) against 0.6 MB of data
+    X = np.cumsum(np.random.default_rng(21).normal(size=(72, 1024)), axis=1)
+    tracemalloc.start()
+    try:
+        pca_fit(X, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * X.nbytes, peak
+
+
+@pytest.mark.parametrize("shape", [(10, 4), (4, 10)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pca_rejects_non_finite_input(shape, bad):
+    X = gauss_matrix(23, *shape)
+    X[1, 2] = bad
+    with pytest.raises(DataError):
+        pca_fit(X, 2)
+
+
+@pytest.mark.parametrize("shape", [(10, 4), (4, 10)])
+def test_pca_overflow_raises_numeric_error(shape):
+    rows, cols = np.indices(shape)
+    # a +-1e308 checkerboard: every column mean is 0, every product overflows
+    with pytest.raises(NumericError):
+        pca_fit(np.where((rows + cols) % 2, -1e308, 1e308), 2)
+    # the column sums, and so the means, overflow
+    with pytest.raises(NumericError):
+        pca_fit(np.full(shape, 1e308), 2)
+
+
+def test_pca_svd_failure_is_numeric_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericError, match="SVD did not converge"):
+        pca_fit(gauss_matrix(25, 4, 10), 2)
 
 
 # ------------------------------------------------------------ lle

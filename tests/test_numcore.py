@@ -10,7 +10,7 @@ import solve_reference
 from solve_reference import linear_solve
 from tsembed import numcore
 from tsembed.embed_spectral import fft_embed
-from tsembed.errors import ContractError, NumericError, ShapeError
+from tsembed.errors import ContractError, DataError, NumericError, ShapeError
 from tsembed.numcore import (linear_solve_batched, nearest_neighbors, next_greater,
                              symmetric_eig)
 from tsembed.rng import Xoshiro256StarStar
@@ -128,6 +128,16 @@ def test_eig_deterministic():
 def test_eig_rejects_non_symmetric():
     with pytest.raises(ContractError):
         symmetric_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ContractError):  # finite, but A - A.T overflows
+        symmetric_eig(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_rejects_non_finite(bad):
+    A = np.eye(3)
+    A[0, 1] = A[1, 0] = bad
+    with pytest.raises(DataError):
+        symmetric_eig(A)
 
 
 def test_eig_rejects_non_square():
