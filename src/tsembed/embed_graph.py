@@ -15,8 +15,7 @@ and are connected.
 A graph is three edge arrays (i, j, w) with i < j, sorted by (i, j).
 
 Both builders take one signal or an (R, n) block of rows; the R graphs of a
-block are views of one flat edge batch, except NVG rows built from all
-slopes (below). Their pointers come from
+block are views of one flat edge batch. Their pointers come from
 numcore.next_greater: for every sample, the first later sample >= it (ge_i)
 and the first later sample > it.
 
@@ -31,13 +30,11 @@ subtraction and division are monotone, so this holds bit for bit. Only the
 records can then be visible, and all rows step along their chains together.
 A chain still running after ``_CHAIN_STEPS`` steps (a convex stretch makes it
 O(n) long) finishes with dense slopes up to its last record, the first
-maximum of the rest of the row. A row whose prefixes and chains would cover
-more than ``_WHOLE_SHARE`` of its n(n-1)/2 slopes (convex, concave or
-monotone rows) is built from all slopes instead, the way the builder it
-replaced worked, and gets arrays of its own rather than views of the edge
-batch: those slopes need no gather, no mask and no scatter, so such a row
-at n = 1024 builds in one half to two thirds of the time of the runs and
-chains.
+maximum of the rest of the row. Smooth rows (convex, concave or monotone
+ramps, slow cycles) thus take O(n^2) gathered, masked and scattered slopes:
+at n = 1024, on one thread of a 2-vCPU x86 box, a convex ramp builds in
+about 30 ms, a linear or concave ramp in 11 ms and one sine cycle in 13 ms,
+against 1.6 ms for Gaussian noise. No benchmark workload has such rows.
 
 HVG. The right neighbours of i are i + 1, then the chain of next strictly
 greater samples from i + 1 up to and including ge_i; a chain longer than
@@ -82,8 +79,6 @@ from .preprocess import per_channel
 _BLOCK_ELEMENTS = 1 << 14
 # chain steps before the chains still running finish with dense runs
 _CHAIN_STEPS = 64
-# share of all slopes above which an NVG row is built from all slopes
-_WHOLE_SHARE = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,67 +210,9 @@ def _pointers(x: np.ndarray):
     return x.ravel(), ge.ravel(), gt.ravel(), pair, i, pair - i
 
 
-def _chain_lengths(gt: np.ndarray, n: int) -> np.ndarray:
-    """The number of samples on the chain of next strictly greater samples
-    from every sample of a flat block of rows of n, itself included, from
-    the flat gt columns; by pointer doubling, O(log n) rounds."""
-    end = gt.shape[0]
-    hop = np.append(np.where(gt < n, np.arange(end) - np.arange(end) % n + gt, end), end)
-    length = np.ones(end + 1, dtype=np.int64)
-    length[end] = 0
-    while (hop[:end] != end).any():
-        length += length[hop]
-        hop = hop[hop]
-    return length[:end]
-
-
-def _nvg_all_slopes(x: np.ndarray) -> VisibilityGraph:
-    """The NVG of one signal from all n(n-1)/2 slopes, in blocks of rows i
-    laid out by gap j - i, of at most _BLOCK_ELEMENTS slopes each. Column j
-    is visible from i exactly when its slope raises the running maximum of
-    the row (j = i + 1 always), which then holds that slope."""
-    n = x.shape[0]
-    # row i holds x[i + 1 : i + n]; past the end of x it holds -inf, whose
-    # slopes are -inf and never raise the running maximum
-    ahead = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([x[1:], np.full(n - 2, -np.inf)]), n - 1)
-    gaps = np.arange(1, n, dtype=float)
-    parts_i, parts_j, parts_w = [], [], []
-    start = 0
-    while start < n - 1:
-        width = n - 1 - start
-        stop = min(n - 1, start + max(1, _BLOCK_ELEMENTS // width))
-        running = ahead[start:stop, :width] - x[start:stop, None]
-        running /= gaps[:width]
-        np.maximum.accumulate(running, axis=1, out=running)
-        visible = np.empty(running.shape, dtype=bool)
-        visible[:, 0] = True
-        np.greater(running[:, 1:], running[:, :-1], out=visible[:, 1:])
-        hits = np.flatnonzero(visible)
-        r = hits // width
-        k = hits - r * width
-        r += start
-        parts_i.append(r)
-        parts_j.append(r + k + 1)
-        parts_w.append(np.abs(running.ravel()[hits]))
-        start = stop
-    return VisibilityGraph(n, np.concatenate(parts_i), np.concatenate(parts_j),
-                           np.concatenate(parts_w))
-
-
 def _nvg_block(x: np.ndarray) -> list[VisibilityGraph]:
     rows, n = x.shape
     flat, ge, gt, pair, i, start = _pointers(x)
-    # rows whose prefixes and chains below would cover more than
-    # _WHOLE_SHARE of all slopes are cheaper to build from all slopes
-    end = np.minimum(ge[pair], n - 1)
-    chain = _chain_lengths(gt, n)[start + end] - 1
-    work = np.maximum(end - i - 1, 0) + np.where(ge[pair] < n, chain, 0)
-    whole = (np.bincount(pair // n, weights=work, minlength=rows)
-             > _WHOLE_SHARE * n * (n - 1) / 2)
-    if whole.any():
-        sparse = ~whole[pair // n]
-        pair, i, start = pair[sparse], i[sparse], start[sparse]
     edges = _Edges(rows, n)
     # j = i + 1 is always visible
     running = (flat[pair + 1] - flat[pair]) / 1.0
@@ -306,10 +243,7 @@ def _nvg_block(x: np.ndarray) -> list[VisibilityGraph]:
         # chain's last record: the first maximum of the rest of the row
         top = _suffix_tops(x).ravel()
         _runs(edges, flat, pair, i, col, top[start + col] - col + 1, running, slopes=True)
-    graphs = edges.graphs()
-    for r in np.flatnonzero(whole):
-        graphs[r] = _nvg_all_slopes(x[r])
-    return graphs
+    return edges.graphs()
 
 
 def _suffix_tops(x: np.ndarray) -> np.ndarray:

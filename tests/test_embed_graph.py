@@ -403,23 +403,20 @@ def test_block_builders_equal_references(block):
 
 
 @settings(max_examples=150, deadline=None)
-@given(blocks(), st.integers(1, 300), st.integers(0, 3), st.sampled_from([-1.0, 0.2, 1.0]))
-def test_block_builders_equal_references_under_small_bounds(block, cap, steps, share):
-    # few chain steps send chains (and convex ramps, with no row built from
-    # all slopes at share 1) to the dense finish; share -1 builds every NVG
-    # row from all slopes; a small cap spreads runs, slopes and triads over
-    # many chunks
-    with patched(_BLOCK_ELEMENTS=cap, _CHAIN_STEPS=steps, _WHOLE_SHARE=share):
+@given(blocks(), st.integers(1, 300), st.integers(0, 3))
+def test_block_builders_equal_references_under_small_bounds(block, cap, steps):
+    # few chain steps send chains (and convex ramps) to the dense finish; a
+    # small cap spreads runs, slopes and triads over many chunks
+    with patched(_BLOCK_ELEMENTS=cap, _CHAIN_STEPS=steps):
         assert_block_equals_references(*block)
 
 
 def test_convex_ramp_longer_than_chain_cap_takes_every_path():
-    # all slopes; no chain step, the default cap (chains end in the dense
-    # finish) and a cap beyond the ramp; and the default choice
+    # no chain step; the default cap, whose chains end in the dense finish;
+    # and a cap beyond the ramp, whose chains run to its end
     x = np.array([styled_signal("convex", 300, 0), styled_signal("gauss", 300, 1)])
-    default = embed_graph._CHAIN_STEPS, embed_graph._WHOLE_SHARE
-    for steps, share in [(default[0], -1.0), (0, 1.0), (default[0], 1.0), (300, 1.0), default]:
-        with patched(_CHAIN_STEPS=steps, _WHOLE_SHARE=share):
+    for steps in (0, embed_graph._CHAIN_STEPS, 300):
+        with patched(_CHAIN_STEPS=steps):
             assert_block_equals_references(x, ("convex", "gauss"))
     assert len(edges(nvg_build(x[0]))) == 300 * 299 // 2
 
@@ -436,12 +433,16 @@ def test_block_builders_take_empty_blocks_and_reject_bad_ones():
 
 
 def test_block_graphs_are_views_of_one_edge_batch():
-    x = np.random.default_rng(3).normal(size=(4, 30))
-    for build in (nvg_build, hvg_build):
-        graphs = build(x)
-        base = graphs[0].i.base
-        assert base is not None
-        assert all(g.i.base is base for g in graphs)
+    noise = np.random.default_rng(3).normal(size=(4, 30))
+    # a convex ramp next to noise rows, in the middle of its block
+    ramp = np.insert(noise, 2, styled_signal("convex", 30, 0), axis=0)
+    for x in (noise, ramp):
+        for build in (nvg_build, hvg_build):
+            graphs = build(x)
+            for field in ("i", "j", "w"):
+                base = getattr(graphs[0], field).base
+                assert base is not None
+                assert all(getattr(g, field).base is base for g in graphs)
 
 
 def test_graph_features_rows_hands_over_row_blocks():

@@ -1,10 +1,12 @@
-"""Every public module-level name in src/tsembed is used somewhere.
+"""Every module-level name in src/tsembed is used somewhere.
 
-A name counts as used when the package refers to it outside its own
+A public name counts as used when the package refers to it outside its own
 definition, when a script under scripts/ or perfbench/ refers to it (a
 string constant counts, since perfbench's tracer patches functions by
-name), or when README.md names it in backticks or a fenced code block. Code that no path reaches
-and no document offers belongs in tests/ as an oracle, or nowhere.
+name), or when README.md names it in backticks or a fenced code block. A
+private name (one leading underscore, not a dunder) counts as used only
+when the package refers to it outside its own definition. Code that no path
+reaches and no document offers belongs in tests/ as an oracle, or nowhere.
 """
 
 import ast
@@ -15,17 +17,21 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tsembed"
 
 
+def bound_names(node):
+    """Names a top-level statement binds: a function, a class or assigned
+    constants, not imports."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
 def defined_names(tree):
-    """Public names a module binds at its top level: functions, classes and
-    assigned constants, not imports."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    return {name for name in names if not name.startswith("_")}
+    """Public names a module binds at its top level."""
+    return {name for node in tree.body for name in bound_names(node)
+            if not name.startswith("_")}
 
 
 def referenced_names(tree, strings=False):
@@ -62,4 +68,15 @@ def test_every_public_name_is_used():
         used |= set(re.findall(r"[A-Za-z_]\w*", span))
     unused = sorted(f"{path.stem}.{name}" for path, tree in modules.items()
                     for name in defined_names(tree) - used)
+    assert unused == [], unused
+
+
+def test_every_private_name_is_used():
+    modules = {path: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    statements = [(path, node, referenced_names(node))
+                  for path, tree in modules.items() for node in tree.body]
+    unused = sorted(
+        f"{path.stem}.{name}" for path, node, _ in statements for name in bound_names(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in found for _, other, found in statements if other is not node))
     assert unused == [], unused
